@@ -19,7 +19,7 @@
 
 use crate::simnet::{NetConfig, NodeId, SimNet};
 use crate::wal::{DurabilityStats, HardState, LogStore, MemLogStore, SnapshotData};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -185,6 +185,9 @@ enum Role {
 pub struct NodeView<T> {
     /// Committed entries in order.
     pub committed: RwLock<Vec<LogEntry<T>>>,
+    /// Ids of the client entries in `committed`, updated wherever entries
+    /// are published, so a commit check is one lookup, not a log scan.
+    committed_ids: RwLock<HashSet<u64>>,
     /// Current term (best effort, for diagnostics).
     pub term: RwLock<u64>,
     /// Whether this node currently believes itself leader.
@@ -203,12 +206,55 @@ impl<T> Default for NodeView<T> {
     fn default() -> Self {
         NodeView {
             committed: RwLock::new(Vec::new()),
+            committed_ids: RwLock::new(HashSet::new()),
             term: RwLock::new(0),
             is_leader: AtomicBool::new(false),
             leader_terms: RwLock::new(Vec::new()),
             commit_index: AtomicU64::new(0),
             snapshot_installs: AtomicU64::new(0),
         }
+    }
+}
+
+impl<T> NodeView<T> {
+    /// Whether this node has committed the client proposal `id`.
+    pub fn has_committed(&self, id: u64) -> bool {
+        self.committed_ids.read().contains(&id)
+    }
+}
+
+/// Wakes the cluster's waiters. Nodes bump it whenever their commit
+/// index advances and whenever leadership is won or lost; a waiter reads
+/// the generation, checks its condition, and sleeps only until the
+/// generation moves, so no wake-up between check and sleep is lost.
+#[derive(Debug, Default)]
+struct CommitSignal {
+    generation: Mutex<u64>,
+    changed: Condvar,
+}
+
+impl CommitSignal {
+    fn bump(&self) {
+        *self.generation.lock() += 1;
+        self.changed.notify_all();
+    }
+
+    fn generation(&self) -> u64 {
+        *self.generation.lock()
+    }
+
+    /// Blocks until the generation moves past `seen`; false if `deadline`
+    /// passes first.
+    fn wait_past(&self, seen: u64, deadline: Instant) -> bool {
+        let mut generation = self.generation.lock();
+        while *generation == seen {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            self.changed.wait_for(&mut generation, left);
+        }
+        true
     }
 }
 
@@ -239,6 +285,7 @@ struct Node<T> {
     match_index: Vec<u64>,
     leader_hint: Option<NodeId>,
     view: Arc<NodeView<T>>,
+    signal: Arc<CommitSignal>,
     subscribers: Vec<Sender<LogEntry<T>>>,
     store: SharedLogStore<T>,
     compact_to: Arc<AtomicU64>,
@@ -334,7 +381,8 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
     /// the deposing majority had already abandoned. It instead waits out
     /// a full fresh slot, giving the in-flight election time to finish.
     fn become_follower(&mut self, term: u64) {
-        if self.role == Role::Leader {
+        let deposed = self.role == Role::Leader;
+        if deposed {
             self.reset_election_deadline();
         }
         self.term = term;
@@ -343,12 +391,16 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
         self.persist_hard_state();
         self.view.is_leader.store(false, Ordering::Release);
         *self.view.term.write() = term;
+        if deposed {
+            self.signal.bump();
+        }
     }
 
     fn become_leader(&mut self, net: &SimNet<RaftMsg<T>>) {
         self.role = Role::Leader;
         self.view.is_leader.store(true, Ordering::Release);
         self.view.leader_terms.write().push(self.term);
+        self.signal.bump();
         prognosticator_obs::Registry::global().counter("raft.leader_wins").inc();
         self.next_index = vec![self.last_log_index() + 1; self.n];
         self.match_index = vec![0; self.n];
@@ -457,19 +509,38 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
 
     fn set_commit(&mut self, index: u64) {
         let index = index.min(self.last_log_index());
-        while self.commit_index < index {
-            self.commit_index += 1;
-            debug_assert!(self.commit_index > self.log_base, "commit below snapshot base");
-            let rec = self.log[(self.commit_index - self.log_base - 1) as usize].clone();
-            // Leader no-ops advance the commit index but are invisible to
-            // clients: only records carrying a payload are published.
-            if let Some(payload) = rec.payload {
-                let entry = LogEntry { term: rec.term, id: rec.id, payload };
-                self.view.committed.write().push(entry.clone());
-                self.subscribers.retain(|s| s.send(entry.clone()).is_ok());
-            }
+        if index <= self.commit_index {
+            return;
         }
+        debug_assert!(self.commit_index >= self.log_base, "commit below snapshot base");
+        let from = (self.commit_index - self.log_base) as usize;
+        let to = (index - self.log_base) as usize;
+        // Leader no-ops advance the commit index but are invisible to
+        // clients: only records carrying a payload are published.
+        let entries: Vec<LogEntry<T>> = self.log[from..to]
+            .iter()
+            .filter_map(|rec| {
+                let payload = rec.payload.clone()?;
+                Some(LogEntry { term: rec.term, id: rec.id, payload })
+            })
+            .collect();
+        self.publish(entries);
+        self.commit_index = index;
         self.view.commit_index.store(self.commit_index, Ordering::Release);
+        self.signal.bump();
+    }
+
+    /// Appends newly committed client entries to the view's committed log
+    /// and id set, and streams them to subscribers. Callers bump the
+    /// signal once the commit index is stored.
+    fn publish(&mut self, entries: Vec<LogEntry<T>>) {
+        let mut committed = self.view.committed.write();
+        let mut ids = self.view.committed_ids.write();
+        for entry in entries {
+            ids.insert(entry.id);
+            self.subscribers.retain(|s| s.send(entry.clone()).is_ok());
+            committed.push(entry);
+        }
     }
 
     /// Compacts the log up to `min(watermark, commit_index)`: persists a
@@ -517,17 +588,12 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
             self.log.clear();
         }
         self.log_base = snap.last_index;
-        {
-            let mut committed = self.view.committed.write();
-            let old_len = committed.len();
-            for e in snap.entries.iter().skip(old_len) {
-                committed.push(e.clone());
-                self.subscribers.retain(|s| s.send(e.clone()).is_ok());
-            }
-        }
+        let published = self.view.committed.read().len();
+        self.publish(snap.entries.iter().skip(published).cloned().collect());
         if snap.last_index > self.commit_index {
             self.commit_index = snap.last_index;
             self.view.commit_index.store(self.commit_index, Ordering::Release);
+            self.signal.bump();
         }
         self.view.snapshot_installs.fetch_add(1, Ordering::AcqRel);
         self.snapshot = Some(snap);
@@ -761,10 +827,16 @@ struct Seat<T> {
     subscribers: Vec<Sender<LogEntry<T>>>,
 }
 
+/// How long a proposer waits for its proposal to commit before
+/// re-broadcasting it (covers proposals dropped by the network or sent
+/// while no leader was elected).
+const REBROADCAST: Duration = Duration::from_millis(40);
+
 /// A running Raft cluster over a simulated network.
 pub struct RaftCluster<T: Clone + Send + Sync + 'static> {
     net: Arc<SimNet<RaftMsg<T>>>,
     seats: Vec<Seat<T>>,
+    signal: Arc<CommitSignal>,
     timing: RaftTiming,
     seed: u64,
     next_id: AtomicU64,
@@ -833,6 +905,7 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
             })
             .max()
             .unwrap_or(0);
+        let signal = Arc::new(CommitSignal::default());
         let mut seats = Vec::new();
         for ((id, rx), (subs, store)) in
             (0..n).zip(rxs).zip(subscribers.into_iter().zip(stores))
@@ -848,6 +921,7 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
                 timing.clone(),
                 seed,
                 Arc::clone(&view),
+                Arc::clone(&signal),
                 Arc::clone(&store),
                 Arc::clone(&compact_to),
                 Arc::clone(&shutdown),
@@ -856,7 +930,7 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
             );
             seats.push(Seat { view, store, compact_to, shutdown, handle: Some(handle), subscribers: subs });
         }
-        RaftCluster { net, seats, timing, seed, next_id: AtomicU64::new(max_recovered_id + 1) }
+        RaftCluster { net, seats, signal, timing, seed, next_id: AtomicU64::new(max_recovered_id + 1) }
     }
 
     /// The simulated network (for partitions / fault injection).
@@ -893,16 +967,29 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
             .collect()
     }
 
+    /// Blocks until `ready()` holds, re-checking it each time a node's
+    /// commit index advances or a node wins or loses leadership. Returns
+    /// false if `deadline` passes first.
+    pub fn wait_until(&self, deadline: Instant, mut ready: impl FnMut() -> bool) -> bool {
+        loop {
+            let seen = self.signal.generation();
+            if ready() {
+                return true;
+            }
+            if !self.signal.wait_past(seen, deadline) {
+                return false;
+            }
+        }
+    }
+
     /// Waits until some node is leader.
     pub fn wait_for_leader(&self, timeout: Duration) -> Option<NodeId> {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if let Some(l) = self.leader() {
-                return Some(l);
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        None
+        let mut leader = None;
+        self.wait_until(Instant::now() + timeout, || {
+            leader = self.leader();
+            leader.is_some()
+        });
+        leader
     }
 
     /// Broadcasts a proposal (assigning it a fresh id) to every node; the
@@ -938,12 +1025,9 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
         let deadline = Instant::now() + timeout;
         loop {
             self.propose_with_id(id, payload.clone());
-            let wait_until = (Instant::now() + Duration::from_millis(40)).min(deadline);
-            while Instant::now() < wait_until {
-                if self.proposal_committed(id) {
-                    return true;
-                }
-                std::thread::sleep(Duration::from_millis(5));
+            let rebroadcast_at = (Instant::now() + REBROADCAST).min(deadline);
+            if self.wait_until(rebroadcast_at, || self.proposal_committed(id)) {
+                return true;
             }
             if Instant::now() >= deadline {
                 return false;
@@ -953,7 +1037,7 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
 
     /// Whether some node has committed the proposal with this id.
     pub fn proposal_committed(&self, id: u64) -> bool {
-        self.seats.iter().any(|s| s.view.committed.read().iter().any(|e| e.id == id))
+        self.seats.iter().any(|s| s.view.has_committed(id))
     }
 
     /// Proposes and re-broadcasts until the entry commits on `observer`,
@@ -966,6 +1050,13 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
     /// Snapshot of `node`'s committed log payloads.
     pub fn committed(&self, node: NodeId) -> Vec<LogEntry<T>> {
         self.seats[node].view.committed.read().clone()
+    }
+
+    /// `node`'s committed entries from position `start` on; empty when
+    /// `start` is at or past the end. Lets a consumer read only what it
+    /// has not seen yet.
+    pub fn committed_from(&self, node: NodeId, start: usize) -> Vec<LogEntry<T>> {
+        self.seats[node].view.committed.read().get(start..).map_or_else(Vec::new, <[_]>::to_vec)
     }
 
     /// Every `(node, term)` leadership claim observed so far — for
@@ -982,14 +1073,8 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
 
     /// Waits until `node` has committed at least `count` entries.
     pub fn wait_for_committed(&self, node: NodeId, count: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if self.seats[node].view.committed.read().len() >= count {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        false
+        let view = &self.seats[node].view;
+        self.wait_until(Instant::now() + timeout, || view.committed.read().len() >= count)
     }
 
     /// Requests every node compact its log up to `index` (clamped to each
@@ -1061,6 +1146,7 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
             self.timing.clone(),
             self.seed,
             view,
+            Arc::clone(&self.signal),
             Arc::clone(&seat.store),
             Arc::clone(&seat.compact_to),
             Arc::clone(&seat.shutdown),
@@ -1097,6 +1183,7 @@ fn spawn_node_thread<T: Clone + Send + Sync + 'static>(
     timing: RaftTiming,
     seed: u64,
     view: Arc<NodeView<T>>,
+    signal: Arc<CommitSignal>,
     store: SharedLogStore<T>,
     compact_to: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
@@ -1114,8 +1201,10 @@ fn spawn_node_thread<T: Clone + Send + Sync + 'static>(
             let log_base = snapshot.as_ref().map_or(0, |s| s.last_index);
             let commit_index = log_base;
             if let Some(snap) = &snapshot {
+                *view.committed_ids.write() = snap.entries.iter().map(|e| e.id).collect();
                 *view.committed.write() = snap.entries.clone();
                 view.commit_index.store(log_base, Ordering::Release);
+                signal.bump();
             }
             *view.term.write() = hard.term;
             let known_ids = known_ids_of(&log, snapshot.as_ref());
@@ -1135,6 +1224,7 @@ fn spawn_node_thread<T: Clone + Send + Sync + 'static>(
                 match_index: vec![0; n],
                 leader_hint: None,
                 view,
+                signal,
                 subscribers,
                 store,
                 compact_to,
@@ -1431,6 +1521,87 @@ mod tests {
                 assert_eq!(pair[0].0, pair[1].0, "split brain in term {}", pair[0].1);
             }
         }
+    }
+
+    /// Waits until each listed node's store holds a snapshot.
+    fn wait_for_snapshots(c: &RaftCluster<u64>, nodes: &[NodeId]) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !nodes.iter().all(|&n| c.seats[n].store.lock().snapshot().is_some()) {
+            assert!(Instant::now() < deadline, "compaction never ran");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    fn proposal_committed_survives_restart_from_compacted_snapshot() {
+        // One node, so `proposal_committed` can only answer from the
+        // restarted node's rebuilt view.
+        let mut c = cluster(1, 19);
+        c.wait_for_leader(Duration::from_secs(5)).expect("leader");
+        let ids: Vec<u64> = (0..4u64)
+            .map(|payload| {
+                let id = c.begin_proposal();
+                assert!(c.propose_id_until_committed(id, &payload, Duration::from_secs(5)));
+                id
+            })
+            .collect();
+        c.compact_before(c.max_commit_index());
+        wait_for_snapshots(&c, &[0]);
+        c.crash(0);
+        c.restart(0);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        assert!(c.wait_until(deadline, || c.committed(0).len() == ids.len()), "snapshot recovered");
+        for &id in &ids {
+            assert!(c.proposal_committed(id), "id {id} lost by the restart");
+        }
+        assert!(!c.proposal_committed(ids[3] + 1), "an id never proposed");
+    }
+
+    #[test]
+    fn snapshot_installed_follower_knows_committed_ids() {
+        let c = cluster(3, 23);
+        let leader = c.wait_for_leader(Duration::from_secs(5)).expect("leader");
+        let follower = (leader + 1) % 3;
+        assert!(c.propose_until_committed(0, Duration::from_secs(5)));
+        assert!(c.wait_for_committed(follower, 1, Duration::from_secs(5)));
+        // Commit past the isolated follower and compact the leader beyond
+        // everything it has seen, so only a snapshot can catch it up.
+        c.net().isolate(follower);
+        let ids: Vec<u64> = (1..8u64)
+            .map(|payload| {
+                let id = c.begin_proposal();
+                assert!(c.propose_id_until_committed(id, &payload, Duration::from_secs(10)));
+                id
+            })
+            .collect();
+        c.compact_before(c.max_commit_index());
+        wait_for_snapshots(&c, &[leader]);
+        let installs = |c: &RaftCluster<u64>| c.node_view(follower).snapshot_installs.load(Ordering::Acquire);
+        let before = installs(&c);
+        c.net().reconnect(follower);
+        assert!(c.wait_for_committed(follower, 8, Duration::from_secs(10)), "follower caught up");
+        assert!(installs(&c) > before, "caught up by log replay, not InstallSnapshot");
+        let view = c.node_view(follower);
+        for &id in &ids {
+            assert!(view.has_committed(id), "follower missing id {id} after InstallSnapshot");
+        }
+    }
+
+    #[test]
+    fn committed_from_returns_exactly_the_suffix() {
+        let c = cluster(3, 29);
+        c.wait_for_leader(Duration::from_secs(5)).expect("leader");
+        for i in 0..5u64 {
+            assert!(c.propose_until_committed(i, Duration::from_secs(5)));
+        }
+        assert!(c.wait_for_committed(1, 5, Duration::from_secs(5)));
+        let all = c.committed(1);
+        assert_eq!(all.len(), 5);
+        for start in 0..=all.len() {
+            assert_eq!(c.committed_from(1, start), all[start..].to_vec(), "start {start}");
+        }
+        assert!(c.committed_from(1, 5).is_empty(), "empty at the end");
+        assert!(c.committed_from(1, 9).is_empty(), "empty past the end");
     }
 
     #[test]

@@ -908,14 +908,6 @@ impl Engine {
     /// serialized; batches commit in call order.
     pub fn execute(&self, prepared: PreparedBatch) -> BatchOutcome {
         let _exec = self.exec_lock.lock();
-        let trace = std::env::var_os("PROGNOSTICATOR_PHASE_TRACE").is_some();
-        let mut t_mark = Instant::now();
-        let mut mark = move |label: &str| {
-            if trace {
-                eprintln!("[phase] {label}: {:?}", t_mark.elapsed());
-            }
-            t_mark = Instant::now();
-        };
         let batch_start = Instant::now();
         let PreparedBatch { slots, rot_idxs, dt_idxs, it_idxs, predict_ns, specs } = prepared;
         let batch_size = slots.len();
@@ -970,7 +962,6 @@ impl Engine {
             });
         }
 
-        mark("classify");
         // Distribute ROTs round-robin over the per-worker queues.
         for (n, &i) in rot_idxs.iter().enumerate() {
             work.rot_queues[n % self.config.workers].push(i);
@@ -1014,7 +1005,6 @@ impl Engine {
                     prepare_slot(&work, i, &self.store);
                 }
             });
-            mark("prepare");
             self.shared.barrier.wait(); // (1) prepare done
 
             // Phase 2: build the lock table — DTs ahead of ITs (§III-C).
@@ -1095,7 +1085,6 @@ impl Engine {
             work.completed.store(0, Ordering::Release);
             work.failed.lock().clear();
             *work.lock_tables.write() = tables.clone();
-            mark("build");
             self.shared.barrier.wait(); // (2) lock tables published
             outcome.stage.queue_ns += round_start.elapsed().as_nanos() as u64;
 
@@ -1166,7 +1155,6 @@ impl Engine {
                 });
             }
             self.shared.barrier.wait(); // (3) update phase done
-            mark("update");
             // Workers dropped their table references before barrier (3);
             // reclaim each round's buffers for the next build, per shard.
             // (Under a batch-fatal wind-down a worker may have bailed out
@@ -1226,7 +1214,6 @@ impl Engine {
             }
             self.shared.barrier.wait(); // (4) action published
             outcome.stage.execute_ns += update_start.elapsed().as_nanos() as u64;
-            mark("failed-handling");
             first_round = false;
             if work.action.load(Ordering::Acquire) == ACTION_DONE {
                 break;

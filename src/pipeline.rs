@@ -13,7 +13,7 @@ use crate::health::{HealthMonitor, HealthState};
 use crate::wal_codec::LogRecordCodec;
 use prognosticator_adapt::{AdaptConfig, Specializer, StatsCollector};
 use prognosticator_consensus::{
-    Admission, Batcher, DurabilityReport, LogStore, NetConfig, Quarantine, Quarantined,
+    Admission, Batcher, DurabilityReport, LogEntry, LogStore, NetConfig, Quarantine, Quarantined,
     RaftCluster, RaftTiming, RetryPolicy, WalStore,
 };
 use prognosticator_core::{
@@ -172,11 +172,14 @@ impl std::error::Error for PipelineError {}
 
 struct ReplicaSlot {
     replica: Replica,
-    /// Committed-log entries already applied.
+    /// Committed-log entries already applied: the cursor [`Pipeline::sync`]
+    /// reads the node's committed log from.
     consumed: usize,
-    /// Of those, entries that were *live* (proposal id not voided) — the
-    /// replica's position in the filtered stream the outcome journal is
-    /// indexed by.
+    /// Of those, *live* records (proposal id not voided), batches and
+    /// specialization swaps alike — compared with the proposed records.
+    live_records: usize,
+    /// Of those, live batches — the replica's position in the filtered
+    /// stream the outcome journal is indexed by.
     live_consumed: usize,
     /// Consensus node whose log this replica follows.
     node: usize,
@@ -388,7 +391,7 @@ impl Pipeline {
                     .set_adapt_sink(Some(Arc::clone(&ctrl.collector) as Arc<dyn prognosticator_core::AdaptSink>));
             }
         }
-        self.replicas.push(ReplicaSlot { replica, consumed: 0, live_consumed: 0, node });
+        self.replicas.push(ReplicaSlot { replica, consumed: 0, live_records: 0, live_consumed: 0, node });
         self.health.add_replica();
         self.publish_health_gauges();
         self.replicas.len() - 1
@@ -706,32 +709,28 @@ impl Pipeline {
         report
     }
 
-    /// Waits until `node` has committed at least `count` live entries —
-    /// entries whose proposal id was not voided at quarantine time. When
-    /// nothing has ever been voided this is the cluster's cheap length
-    /// check; otherwise the committed prefix is scanned, because a voided
-    /// entry resurfacing from a deposed leader's log must not satisfy the
-    /// wait in place of a real batch.
-    fn wait_for_live_committed(&self, node: usize, count: usize, timeout: Duration) -> bool {
-        if self.voided_ids.is_empty() {
-            return self.cluster.wait_for_committed(node, count, timeout);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let live = self
-                .cluster
-                .committed(node)
-                .iter()
-                .filter(|entry| !self.voided_ids.contains(&entry.id))
-                .count();
-            if live >= count {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+    /// Waits until `node` has committed at least `count` live entries
+    /// past position `from` — entries whose proposal id was not voided at
+    /// quarantine time, since a voided entry resurfacing from a deposed
+    /// leader's log must not satisfy the wait in place of a real batch.
+    /// Returns every entry committed from `from` on, read incrementally as
+    /// commits arrive, or `None` on timeout.
+    fn wait_for_live_committed(
+        &self,
+        node: usize,
+        from: usize,
+        count: usize,
+        timeout: Duration,
+    ) -> Option<Vec<LogEntry<LogRecord>>> {
+        let mut fresh = Vec::new();
+        let mut live = 0;
+        let ready = self.cluster.wait_until(Instant::now() + timeout, || {
+            let more = self.cluster.committed_from(node, from + fresh.len());
+            live += more.iter().filter(|entry| !self.voided_ids.contains(&entry.id)).count();
+            fresh.extend(more);
+            live >= count
+        });
+        ready.then_some(fresh)
     }
 
     /// Poison batches that exhausted their retries, oldest first.
@@ -800,20 +799,25 @@ impl Pipeline {
     pub fn sync(&mut self) -> Result<(), PipelineError> {
         let target = self.proposed_records;
         for idx in 0..self.replicas.len() {
-            let (node, consumed) = (self.replicas[idx].node, self.replicas[idx].consumed);
-            if !self.wait_for_live_committed(node, target, self.config.consensus_timeout) {
+            let slot = &self.replicas[idx];
+            let missing = target.saturating_sub(slot.live_records);
+            let Some(fresh) = self.wait_for_live_committed(
+                slot.node,
+                slot.consumed,
+                missing,
+                self.config.consensus_timeout,
+            ) else {
                 self.health.on_lag(idx);
                 self.publish_health_gauges();
                 return Err(PipelineError::ReplicaLagged { replica: idx });
-            }
-            let log = self.cluster.committed(node);
-            let new_records: Vec<LogRecord> = log
-                .iter()
-                .skip(consumed)
+            };
+            self.replicas[idx].consumed += fresh.len();
+            let new_records: Vec<LogRecord> = fresh
+                .into_iter()
                 .filter(|entry| !self.voided_ids.contains(&entry.id))
-                .map(|entry| entry.payload.clone())
+                .map(|entry| entry.payload)
                 .collect();
-            self.replicas[idx].consumed = log.len();
+            self.replicas[idx].live_records += new_records.len();
             if new_records.is_empty() {
                 continue;
             }
@@ -1303,6 +1307,51 @@ mod tests {
         }
         // The committed view (what replicas replay) is still complete.
         assert_eq!(p.cluster().committed(0).len(), p.committed_batches());
+        p.shutdown();
+    }
+
+    #[test]
+    fn cursor_sync_survives_compaction_late_joiners_and_restarts() {
+        let (catalog, bump) = counter_catalog();
+        let config = PipelineConfig { snapshot_interval: Some(2), ..small_config() };
+        let mut p = Pipeline::new(catalog, config, 2, populate()).expect("boots");
+        for round in 0..24i64 {
+            for i in 0..8 {
+                p.submit(TxRequest::new(bump, vec![Value::Int((round * 8 + i) % 16)]))
+                    .expect("submits");
+            }
+            p.flush().expect("flushes");
+            p.sync().expect("syncs");
+            if round == 8 {
+                // Joins after compaction began: replays from position 0.
+                assert_eq!(p.add_replica(), 2);
+            }
+            if round == 16 {
+                p.restart_replica(1);
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while p.durability().store.snapshots_written == 0 {
+            assert!(Instant::now() < deadline, "log never compacted");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let digests = p.digests();
+        assert_eq!(digests.len(), 3);
+        assert!(digests.windows(2).all(|w| w[0] == w[1]), "replicas diverged: {digests:?}");
+
+        let mut fresh = p.fresh_replica();
+        fresh.execute_records(p.live_records(0), 0);
+        assert_eq!(fresh.state_digest(), digests[0], "replay of the live log");
+        fresh.shutdown();
+
+        let committed = p
+            .batch_events()
+            .iter()
+            .filter(|e| matches!(e, BatchEvent::Committed { .. }))
+            .count();
+        assert!(p.committed_batches() >= 24);
+        assert_eq!(p.committed_batches(), committed);
+        assert_eq!(p.committed_batches(), p.outcome_journal().len());
         p.shutdown();
     }
 
