@@ -15,19 +15,19 @@ use std::path::Path;
 /// per-stage histogram summaries (`stage_hists`) and lock-contention
 /// counters (`lock_waits`, `lock_contended_keys`) were added; bumped to 3
 /// when the service-loop robustness counters (`client_retries`,
-/// `shed_requests`, `degraded_batches`) were added; bumped to 4 when the
-/// sharded-execution fields (`shards`, `cross_shard_ratio`,
-/// `shard_queue_us`, `shard_execute_us`) were added; bumped to 5 when
-/// the served-traffic fields (`connections`, `evicted_clients`,
+/// `shed_requests`, `degraded_batches`) were added; bumped to 4 when four
+/// per-shard execution fields were added; bumped to 5 when the
+/// served-traffic fields (`connections`, `evicted_clients`,
 /// `wire_rejects`, `open_loop_p50_ms`, `open_loop_p99_ms`,
 /// `open_loop_max_ms`) were added; bumped to 6 when the
 /// adaptive-prediction fields (`specializations_active`,
-/// `false_conflicts`, `predicted_keys`, `observed_keys`) were added.
-/// Older files (and pre-versioned files, which carry no
-/// `schema_version` at all) are rejected by [`load_snapshot`] so
-/// regression tooling never silently compares across incompatible
-/// layouts.
-pub const SCHEMA_VERSION: i64 = 6;
+/// `false_conflicts`, `predicted_keys`, `observed_keys`) were added;
+/// bumped to 7 when key-space sharding was removed from the engine and
+/// the four v4 fields with it. Older files (and pre-versioned files,
+/// which carry no `schema_version` at all) are rejected by
+/// [`load_snapshot`] so regression tooling never silently compares across
+/// incompatible layouts.
+pub const SCHEMA_VERSION: i64 = 7;
 
 /// A JSON value tree, rendered with [`Json::render`].
 #[derive(Debug, Clone, PartialEq)]
@@ -354,21 +354,6 @@ pub fn run_result_json(system: &str, r: &RunResult) -> Json {
         ("client_retries", Json::Int(r.client_retries as i64)),
         ("shed_requests", Json::Int(r.shed_requests as i64)),
         ("degraded_batches", Json::Int(r.degraded_batches as i64)),
-        // Sharded-execution fields (schema v4): the shard count the point
-        // ran at, the fraction of update transactions whose predicted
-        // key-set spanned several shards, and the per-shard mean
-        // queue/execute batch times (µs, indexed by physical shard; empty
-        // for unsharded/simulated exhibits).
-        ("shards", Json::Int(r.shards as i64)),
-        ("cross_shard_ratio", Json::Num(r.cross_shard_ratio)),
-        (
-            "shard_queue_us",
-            Json::Arr(r.shard_queue_us.iter().map(|&v| Json::Num(v)).collect()),
-        ),
-        (
-            "shard_execute_us",
-            Json::Arr(r.shard_execute_us.iter().map(|&v| Json::Num(v)).collect()),
-        ),
         // Served-traffic fields (schema v5): network front-end accounting
         // and the coordinated-omission-safe open-loop latency quantiles,
         // measured from each request's intended send time. Zero for
@@ -656,28 +641,6 @@ mod tests {
             "\"client_retries\": 4",
             "\"shed_requests\": 11",
             "\"degraded_batches\": 2",
-        ] {
-            assert!(s.contains(needle), "{needle} missing from {s}");
-        }
-    }
-
-    #[test]
-    fn run_result_includes_sharding_fields() {
-        let r = RunResult {
-            shards: 4,
-            cross_shard_ratio: 0.25,
-            shard_queue_us: vec![1.5, 2.5],
-            shard_execute_us: vec![10.0, 20.0],
-            ..RunResult::default()
-        };
-        let s = run_result_json("MQ-MF", &r).render();
-        for needle in [
-            "\"shards\": 4",
-            "\"cross_shard_ratio\": 0.25",
-            "\"shard_queue_us\": [\n",
-            "\"shard_execute_us\": [\n",
-            "2.5",
-            "20.0",
         ] {
             assert!(s.contains(needle), "{needle} missing from {s}");
         }

@@ -248,20 +248,6 @@ pub struct RunResult {
     /// recovery probation; 0 for exhibits without the health monitor in
     /// the loop.
     pub degraded_batches: u64,
-    /// Key-space shard count the point ran at (0 = not reported: the
-    /// exhibit predates sharding or drives the single-shard simulator).
-    pub shards: usize,
-    /// Fraction of update transactions whose predicted key-set spanned
-    /// several shards (resolved by the queuer's deterministic barrier
-    /// exchange); 0.0 at one shard.
-    pub cross_shard_ratio: f64,
-    /// Mean per-batch lock-queue population time charged to each shard
-    /// (µs), indexed by physical shard; empty for unsharded/simulated
-    /// exhibits.
-    pub shard_queue_us: Vec<f64>,
-    /// Mean per-batch execution time charged to each shard (µs), indexed
-    /// by physical shard; empty for unsharded/simulated exhibits.
-    pub shard_execute_us: Vec<f64>,
     /// Connections the network front-end accepted over the run (schema
     /// v5); 0 for exhibits that drive the engine in-process.
     pub connections: u64,

@@ -53,12 +53,11 @@ use crate::exec::{
 };
 use crate::faults::{AbortReason, FaultPlan};
 use crate::locktable::{FifoPolicy, LockTable, LockTableBuilder, ReadyPolicy, TxIdx};
-use crate::shard::ShardRouter;
 use crossbeam::queue::SegQueue;
 use crossbeam::utils::Backoff;
 use parking_lot::{Condvar, Mutex, RwLock};
 use prognosticator_obs::{Counter, Event, FlightRecorder, Histogram, Registry};
-use prognosticator_storage::{EpochStore, LatencyConfig, ShardWatermarks};
+use prognosticator_storage::{EpochStore, LatencyConfig};
 use prognosticator_symexec::{
     apply_narrowing, fingerprint_inputs, predict_specialized, PredictError, Prediction, Profile,
     ProgSpecialization, SpecializationSet, TxClass,
@@ -109,13 +108,6 @@ pub enum Granularity {
 pub struct SchedulerConfig {
     /// Number of worker threads (the queuer is the calling thread).
     pub workers: usize,
-    /// Number of key-space shards the execution core is partitioned into.
-    /// Each shard owns a key-interned arena lock table; transactions are
-    /// routed at prepare time by their predicted read/write-set
-    /// ([`crate::shard::ShardRouter`]). Outcomes and digests are a pure
-    /// function of the committed log — byte-identical for every shard
-    /// count (see DESIGN.md §3.5).
-    pub shards: usize,
     /// Key-set acquisition strategy.
     pub prepare: PrepareMode,
     /// `true` = `MQ` (workers help prepare), `false` = `1Q`.
@@ -146,7 +138,6 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             workers: 4,
-            shards: 1,
             prepare: PrepareMode::Profile,
             parallel_prepare: true,
             failed: FailedPolicy::Reenqueue,
@@ -212,13 +203,6 @@ pub struct StageTimings {
     /// queues held more than one transaction. A pure function of the
     /// batch contents — identical on every replica.
     pub lock_contended_keys: u64,
-    /// Update transactions whose predicted key-set routed to exactly one
-    /// shard, summed over rounds. Deterministic for a given shard count
-    /// (metrics only: the value differs *across* shard counts).
-    pub single_shard_txs: u64,
-    /// Update transactions spanning several shards, resolved by the
-    /// queuer's deterministic barrier exchange. See `single_shard_txs`.
-    pub cross_shard_txs: u64,
 }
 
 impl StageTimings {
@@ -234,8 +218,6 @@ impl StageTimings {
         self.lock_fresh_allocs += other.lock_fresh_allocs;
         self.lock_waits += other.lock_waits;
         self.lock_contended_keys += other.lock_contended_keys;
-        self.single_shard_txs += other.single_shard_txs;
-        self.cross_shard_txs += other.cross_shard_txs;
     }
 
     /// Plain sum of the five stage timers. `overlap_ns` nanoseconds of
@@ -255,21 +237,6 @@ impl StageTimings {
     pub fn busy_ns(&self) -> u64 {
         self.stage_sum_ns().saturating_sub(self.overlap_ns)
     }
-}
-
-/// Per-shard queue/execute wall-clock split of one batch, indexed by
-/// physical shard. Wall-clock-dependent — metrics only, never compared by
-/// the determinism oracles.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStageTimings {
-    /// Lock-queue population charged to this shard: enqueue time of the
-    /// transactions it is home to, plus its builder's freeze time, summed
-    /// over scheduling rounds.
-    pub queue_ns: u64,
-    /// Execution time of the transactions popped from this shard's ready
-    /// queue (cross-shard transactions are charged to their home — i.e.
-    /// lowest-owner — shard), summed over rounds and workers.
-    pub execute_ns: u64,
 }
 
 /// Per-batch outcome and metrics.
@@ -305,9 +272,6 @@ pub struct BatchOutcome {
     pub duration: Duration,
     /// Per-stage timers and counters (see [`StageTimings`]).
     pub stage: StageTimings,
-    /// Per-shard queue/execute split, indexed by physical shard (length =
-    /// the engine's configured shard count; empty from the simulator).
-    pub shard_stage: Vec<ShardStageTimings>,
     /// Keys the committed update transactions' (possibly specialized)
     /// predictions locked, summed. Deterministic: a pure function of the
     /// batch contents and the installed specialization set.
@@ -441,10 +405,9 @@ struct BatchWork {
     slots: Vec<TxSlot>,
     rot_queues: Vec<SegQueue<TxIdx>>,
     prepare_queue: SegQueue<TxIdx>,
-    /// Per-shard lock tables for the current round, indexed by physical
-    /// shard (published at barrier (2), drained for recycling after
-    /// barrier (3)).
-    lock_tables: RwLock<Vec<Arc<LockTable>>>,
+    /// The current round's lock table (published at barrier (2), taken
+    /// back for recycling after barrier (3)).
+    lock_table: RwLock<Option<Arc<LockTable>>>,
     round_total: AtomicUsize,
     completed: AtomicUsize,
     failed: Mutex<Vec<TxIdx>>,
@@ -483,11 +446,6 @@ struct BatchWork {
     /// Worker wait episodes (executing → spinning transitions) during the
     /// update phase. Wall-clock-dependent; metrics only.
     lock_waits: AtomicU64,
-    /// Per-shard execute-time accumulators, indexed by physical shard.
-    /// Workers charge each popped transaction's execution to the shard it
-    /// was popped from; the queuer charges cross-shard transactions to
-    /// their home shard. Wall-clock-dependent; metrics only.
-    shard_exec_ns: Vec<AtomicU64>,
     /// Set when a thread panics *outside* any per-transaction scope (an
     /// engine bug or a catalog/profile mismatch — not attributable to one
     /// transaction); the batch is wound down through the normal barrier
@@ -545,17 +503,12 @@ struct EngineMetrics {
     lock_contended_keys: Arc<Counter>,
     false_conflicts: Arc<Counter>,
     spec_cache_hits: Arc<Counter>,
-    single_shard_txs: Arc<Counter>,
-    cross_shard_txs: Arc<Counter>,
     batch_queue_us: Arc<Histogram>,
     batch_execute_us: Arc<Histogram>,
-    /// Per-shard stage histograms, indexed by physical shard.
-    shard_queue_us: Vec<Arc<Histogram>>,
-    shard_execute_us: Vec<Arc<Histogram>>,
 }
 
 impl EngineMetrics {
-    fn new(shards: usize) -> Self {
+    fn new() -> Self {
         let r = Registry::global();
         EngineMetrics {
             batches: r.counter("engine.batches"),
@@ -565,16 +518,8 @@ impl EngineMetrics {
             lock_contended_keys: r.counter("engine.lock_contended_keys"),
             false_conflicts: r.counter("engine.false_conflicts"),
             spec_cache_hits: r.counter("engine.spec_cache_hits"),
-            single_shard_txs: r.counter("engine.single_shard_txs"),
-            cross_shard_txs: r.counter("engine.cross_shard_txs"),
             batch_queue_us: r.histogram("engine.batch_queue_us"),
             batch_execute_us: r.histogram("engine.batch_execute_us"),
-            shard_queue_us: (0..shards)
-                .map(|s| r.histogram(&format!("engine.shard{s}.queue_us")))
-                .collect(),
-            shard_execute_us: (0..shards)
-                .map(|s| r.histogram(&format!("engine.shard{s}.execute_us")))
-                .collect(),
         }
     }
 }
@@ -648,18 +593,9 @@ pub struct Engine {
     batches_executed: AtomicU64,
     /// Serializes [`Engine::execute`] calls.
     exec_lock: Mutex<()>,
-    /// Long-lived per-shard lock-table builders, indexed by physical
-    /// shard; each shard's buffers are recycled across rounds and batches
-    /// and never migrate to another shard.
-    builders: Mutex<Vec<LockTableBuilder>>,
-    /// Key → shard routing oracle over the configured shard count.
-    router: ShardRouter,
-    /// Per-shard GC watermarks: history is reclaimed only below the
-    /// minimum epoch every shard has reported finished. Under the global
-    /// batch barrier all shards report in lockstep, so the floor tracks
-    /// the common epoch — the watermark states the per-shard GC contract
-    /// explicitly rather than leaving it implied by the barrier.
-    gc_watermarks: ShardWatermarks,
+    /// Long-lived lock-table builder; its buffers are recycled across
+    /// rounds and batches.
+    builder: Mutex<LockTableBuilder>,
     queuer: Mutex<QueuerState>,
     /// Registry handles (see [`EngineMetrics`]).
     metrics: EngineMetrics,
@@ -688,7 +624,6 @@ impl Engine {
     /// Panics if `config.workers` is zero.
     pub fn new(config: SchedulerConfig, catalog: Arc<Catalog>, store: Arc<EpochStore>) -> Self {
         assert!(config.workers > 0, "at least one worker thread is required");
-        let router = ShardRouter::new(config.shards);
         let shared = Arc::new(Shared {
             barrier: std::sync::Barrier::new(config.workers + 1),
             work: RwLock::new(None),
@@ -715,22 +650,13 @@ impl Engine {
             fault_plan: RwLock::new(None),
             batches_executed: AtomicU64::new(0),
             exec_lock: Mutex::new(()),
-            builders: Mutex::new(
-                (0..router.shards()).map(|s| LockTableBuilder::with_shard(s as u32)).collect(),
-            ),
-            router,
-            gc_watermarks: ShardWatermarks::new(router.shards()),
+            builder: Mutex::new(LockTableBuilder::new()),
             queuer: Mutex::new(QueuerState::default()),
-            metrics: EngineMetrics::new(router.shards()),
+            metrics: EngineMetrics::new(),
             recorder: RwLock::new(None),
             adapt_sink: RwLock::new(None),
             specializations: Arc::new(RwLock::new(Arc::new(SpecializationSet::empty()))),
         }
-    }
-
-    /// The engine's key → shard routing oracle.
-    pub fn router(&self) -> ShardRouter {
-        self.router
     }
 
     /// Attaches (or detaches) a flight recorder. Subsequent batches emit
@@ -930,7 +856,7 @@ impl Engine {
             slots,
             rot_queues: (0..self.config.workers).map(|_| SegQueue::new()).collect(),
             prepare_queue: SegQueue::new(),
-            lock_tables: RwLock::new(Vec::new()),
+            lock_table: RwLock::new(None),
             round_total: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             failed: Mutex::new(Vec::new()),
@@ -951,7 +877,6 @@ impl Engine {
             contended: RwLock::new(HashSet::new()),
             recorder: self.recorder.read().clone(),
             lock_waits: AtomicU64::new(0),
-            shard_exec_ns: (0..self.router.shards()).map(|_| AtomicU64::new(0)).collect(),
             fatal: AtomicBool::new(false),
             fatal_msg: Mutex::new(None),
         });
@@ -982,19 +907,10 @@ impl Engine {
         // --- Rounds ---
         let mut outcome = BatchOutcome { batch_size, ..BatchOutcome::default() };
         outcome.stage.predict_ns = predict_ns;
-        let shards = self.router.shards();
-        let mut builders = self.builders.lock();
-        let fresh_queues_before: u64 = builders.iter().map(|b| b.stats().fresh_queues).sum();
+        let mut builder = self.builder.lock();
+        let fresh_queues_before = builder.stats().fresh_queues;
         let mut round_members: Vec<TxIdx> = Vec::new(); // set in each round
         let mut first_round = true;
-        // Per-shard queue-time accumulators (wall clock; metrics only).
-        let mut shard_queue_ns = vec![0u64; shards];
-        // Queuer-local cross-shard bookkeeping, indexed by batch position:
-        // how many owner shards have not yet signalled readiness, and the
-        // ascending owner list. Only the queuer drains the foreign-ready
-        // queues, so no atomics are needed.
-        let mut cross_wait = vec![0u32; batch_size];
-        let mut cross_owners: Vec<Vec<usize>> = vec![Vec::new(); batch_size];
         loop {
             outcome.rounds += 1;
             let round_start = Instant::now();
@@ -1020,150 +936,52 @@ impl Engine {
                 .into_iter()
                 .filter(|&i| work.slots[i as usize].state.lock().aborted.is_none())
                 .collect();
-            // Route each member by its predicted key-set. Single-shard
-            // transactions enqueue locally on their owner; cross-shard
-            // ones enqueue a foreign subset on every owner and are
-            // resolved by the exchange loop below. Routes are recomputed
-            // every round: failed transactions re-prepare against live
-            // state and may predict a different key-set.
-            let mut round_cross: Vec<TxIdx> = Vec::new();
             for &i in &members {
-                let keys = lock_keys(&work.slots[i as usize]);
-                let t_enq = Instant::now();
-                let mut parts = self.router.partition(keys);
-                if parts.len() <= 1 {
-                    let (s, sub) = parts.pop().unwrap_or((0, Vec::new()));
-                    builders[s].enqueue(i, sub);
-                    outcome.stage.single_shard_txs += 1;
-                    shard_queue_ns[s] += t_enq.elapsed().as_nanos() as u64;
-                } else {
-                    let home = parts[0].0;
-                    cross_wait[i as usize] = parts.len() as u32;
-                    cross_owners[i as usize] = parts.iter().map(|(s, _)| *s).collect();
-                    for (s, sub) in parts {
-                        builders[s].enqueue_foreign(i, sub);
+                builder.enqueue(i, lock_keys(&work.slots[i as usize]));
+            }
+            let table = Arc::new(builder.freeze(work.slots.len()));
+            outcome.stage.lock_contended_keys += table.contended_keys();
+            // Contended-key set for false-conflict attribution; the waiter
+            // list names every contended queue at least once.
+            if work.adapt.is_some() {
+                let mut contended = work.contended.write();
+                for (key, _, _) in table.waiters() {
+                    if !contended.contains(key) {
+                        contended.insert(key.clone());
                     }
-                    round_cross.push(i);
-                    outcome.stage.cross_shard_txs += 1;
-                    shard_queue_ns[home] += t_enq.elapsed().as_nanos() as u64;
                 }
             }
-            let mut tables: Vec<Arc<LockTable>> = Vec::with_capacity(shards);
-            for (s, b) in builders.iter_mut().enumerate() {
-                let t_freeze = Instant::now();
-                let table = Arc::new(b.freeze(work.slots.len()));
-                shard_queue_ns[s] += t_freeze.elapsed().as_nanos() as u64;
-                outcome.stage.lock_contended_keys += table.contended_keys();
-                // Contended-key set for false-conflict attribution; the
-                // waiter list names every contended queue at least once.
-                if work.adapt.is_some() {
-                    let mut contended = work.contended.write();
-                    for (key, _, _) in table.waiters() {
-                        if !contended.contains(key) {
-                            contended.insert(key.clone());
-                        }
+            if let Some(rec) = &work.recorder {
+                if rec.is_enabled() {
+                    for (key, tx, depth) in table.waiters() {
+                        let key = key_fingerprint(key);
+                        rec.record(|| Event::LockWait {
+                            batch: batch_index,
+                            tx: u64::from(tx),
+                            key,
+                            depth,
+                        });
                     }
                 }
-                if let Some(rec) = &work.recorder {
-                    if rec.is_enabled() {
-                        for (key, tx, depth) in table.waiters() {
-                            let shard = ShardRouter::fingerprint(key);
-                            let key = key_fingerprint(key);
-                            rec.record(|| Event::LockWait {
-                                batch: batch_index,
-                                tx: u64::from(tx),
-                                key,
-                                depth,
-                                shard,
-                            });
-                        }
-                    }
-                }
-                tables.push(table);
             }
             work.round_total.store(members.len(), Ordering::Release);
             work.completed.store(0, Ordering::Release);
             work.failed.lock().clear();
-            *work.lock_tables.write() = tables.clone();
-            self.shared.barrier.wait(); // (2) lock tables published
+            *work.lock_table.write() = Some(table);
+            self.shared.barrier.wait(); // (2) lock table published
             outcome.stage.queue_ns += round_start.elapsed().as_nanos() as u64;
 
-            // Phase 3: workers execute single-shard transactions; the
-            // queuer resolves cross-shard ones with a deterministic
-            // exchange. A cross-shard transaction becomes executable only
-            // once every owner shard has signalled it ready (it is at the
-            // head of all its per-key queues — exactly the global
-            // lock-order condition), and ready cross-shard transactions
-            // execute in ascending batch position with slots released in
-            // ascending shard order: a fixed shard-major merge, so the
-            // committed outcome is a pure function of the batch, never of
-            // worker interleaving or shard count.
+            // Phase 3: workers execute; the queuer waits.
             let update_start = Instant::now();
-            if !round_cross.is_empty() {
-                run_guarded(&work, || {
-                    let backoff = Backoff::new();
-                    let mut ready_cross: Vec<TxIdx> = Vec::new();
-                    loop {
-                        let total = work.round_total.load(Ordering::Acquire);
-                        if work.completed.load(Ordering::Acquire) >= total
-                            || work.fatal.load(Ordering::Acquire)
-                        {
-                            break;
-                        }
-                        let mut progress = false;
-                        for table in &tables {
-                            while let Some(i) = table.pop_foreign_ready() {
-                                progress = true;
-                                cross_wait[i as usize] -= 1;
-                                if cross_wait[i as usize] == 0 {
-                                    ready_cross.push(i);
-                                }
-                            }
-                        }
-                        if ready_cross.is_empty() {
-                            if !progress {
-                                backoff.spin();
-                            }
-                            continue;
-                        }
-                        backoff.reset();
-                        ready_cross.sort_unstable();
-                        for i in ready_cross.drain(..) {
-                            if let Some(rec) = &work.recorder {
-                                rec.record(|| Event::LockGrant {
-                                    batch: work.batch_index,
-                                    tx: u64::from(i),
-                                });
-                            }
-                            let t_exec = Instant::now();
-                            execute_update_slot(&work, i, &self.store);
-                            let owners = &cross_owners[i as usize];
-                            for &s in owners {
-                                tables[s].release(i);
-                            }
-                            work.shard_exec_ns[owners[0]]
-                                .fetch_add(t_exec.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            if let Some(rec) = &work.recorder {
-                                rec.record(|| Event::LockRelease {
-                                    batch: work.batch_index,
-                                    tx: u64::from(i),
-                                });
-                            }
-                            work.completed.fetch_add(1, Ordering::AcqRel);
-                        }
-                    }
-                });
-            }
             self.shared.barrier.wait(); // (3) update phase done
             // Workers dropped their table references before barrier (3);
-            // reclaim each round's buffers for the next build, per shard.
-            // (Under a batch-fatal wind-down a worker may have bailed out
-            // early and still hold a reference — then the unwrap fails and
-            // that table is simply dropped.)
-            drop(tables);
-            for table in work.lock_tables.write().drain(..) {
+            // reclaim the round's buffers for the next build. (Under a
+            // batch-fatal wind-down a worker may have bailed out early and
+            // still hold a reference — then the unwrap fails and the table
+            // is simply dropped.)
+            if let Some(table) = work.lock_table.write().take() {
                 if let Ok(table) = Arc::try_unwrap(table) {
-                    builders[table.shard() as usize].recycle(table);
+                    builder.recycle(table);
                 }
             }
 
@@ -1219,16 +1037,9 @@ impl Engine {
                 break;
             }
         }
-        let fresh_queues_after: u64 = builders.iter().map(|b| b.stats().fresh_queues).sum();
-        outcome.stage.lock_fresh_allocs = fresh_queues_after - fresh_queues_before;
+        outcome.stage.lock_fresh_allocs = builder.stats().fresh_queues - fresh_queues_before;
         outcome.stage.lock_waits = work.lock_waits.load(Ordering::Acquire);
-        drop(builders);
-        outcome.shard_stage = (0..shards)
-            .map(|s| ShardStageTimings {
-                queue_ns: shard_queue_ns[s],
-                execute_ns: work.shard_exec_ns[s].load(Ordering::Acquire),
-            })
-            .collect();
+        drop(builder);
 
         // Retire the batch.
         *self.shared.work.write() = None;
@@ -1246,13 +1057,7 @@ impl Engine {
                 keep > self.config.prepare_staleness,
                 "GC window must retain the preparation snapshots"
             );
-            // Every shard crossed the batch barrier, so each reports the
-            // same retirement epoch; the floor only lags if a shard does.
-            let retire = self.store.current_epoch().saturating_sub(keep);
-            for s in 0..shards {
-                self.gc_watermarks.report(s, retire);
-            }
-            self.store.gc_before(self.gc_watermarks.floor());
+            self.store.gc_before(self.store.current_epoch().saturating_sub(keep));
         }
         outcome.stage.commit_ns = commit_start.elapsed().as_nanos() as u64;
 
@@ -1327,12 +1132,6 @@ impl Engine {
         self.metrics
             .batch_execute_us
             .record(outcome.stage.execute_ns / 1_000);
-        self.metrics.single_shard_txs.add(outcome.stage.single_shard_txs);
-        self.metrics.cross_shard_txs.add(outcome.stage.cross_shard_txs);
-        for (s, st) in outcome.shard_stage.iter().enumerate() {
-            self.metrics.shard_queue_us[s].record(st.queue_ns / 1_000);
-            self.metrics.shard_execute_us[s].record(st.execute_ns / 1_000);
-        }
         if let Some(sink) = &work.adapt {
             sink.observe_batch(batch_index);
         }
@@ -1723,20 +1522,18 @@ fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
             shared.barrier.wait(); // (1)
             shared.barrier.wait(); // (2) lock table ready
             {
-                let tables = work.lock_tables.read().clone();
-                debug_assert!(!tables.is_empty(), "lock tables published before phase 3");
+                let table = work
+                    .lock_table
+                    .read()
+                    .clone()
+                    .expect("lock table published before phase 3");
 
-                // Phase 3: update transactions. Workers scan every shard's
-                // ready queue, starting at a per-worker affinity offset so
-                // the pool spreads over shards instead of contending on
-                // shard 0. Single-shard transactions live wholly in the
-                // table they are popped from, so release goes back to that
-                // same table. Idle workers spin hot: the phase lasts at
-                // most a batch interval and parked threads pay wake-up
-                // latency on every lock-chain handoff, which would
-                // serialize contended batches (workers ≤ cores by config).
+                // Phase 3: update transactions. Idle workers spin hot: the
+                // phase lasts at most a batch interval and parked threads
+                // pay wake-up latency on every lock-chain handoff, which
+                // would serialize contended batches (workers ≤ cores by
+                // config).
                 run_guarded(&work, || {
-                    let n = tables.len();
                     let backoff = Backoff::new();
                     // Wait-episode metric: count executing→spinning
                     // transitions, not spin iterations, so the number is
@@ -1750,18 +1547,8 @@ fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
                         {
                             break;
                         }
-                        let mut popped = None;
-                        for off in 0..n {
-                            let t_idx = (worker_id + off) % n;
-                            if let Some(i) =
-                                tables[t_idx].pop_ready_with(work.ready_policy.as_ref())
-                            {
-                                popped = Some((t_idx, i));
-                                break;
-                            }
-                        }
-                        match popped {
-                            Some((t_idx, i)) => {
+                        match table.pop_ready_with(work.ready_policy.as_ref()) {
+                            Some(i) => {
                                 waiting = false;
                                 backoff.reset();
                                 if let Some(rec) = &work.recorder {
@@ -1770,13 +1557,8 @@ fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
                                         tx: u64::from(i),
                                     });
                                 }
-                                let t_exec = Instant::now();
                                 execute_update_slot(&work, i, store);
-                                tables[t_idx].release(i);
-                                work.shard_exec_ns[t_idx].fetch_add(
-                                    t_exec.elapsed().as_nanos() as u64,
-                                    Ordering::Relaxed,
-                                );
+                                table.release(i);
                                 if let Some(rec) = &work.recorder {
                                     rec.record(|| Event::LockRelease {
                                         batch: work.batch_index,
@@ -1795,8 +1577,8 @@ fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
                         }
                     }
                 });
-                // The table references are dropped here — before barrier
-                // (3) — so the queuer can reclaim their buffers for the
+                // The table reference is dropped here — before barrier
+                // (3) — so the queuer can reclaim its buffers for the
                 // next round's build.
             }
             shared.barrier.wait(); // (3)

@@ -51,14 +51,13 @@ pub mod faults;
 pub mod locktable;
 pub mod pipelined;
 pub mod replica;
-pub mod shard;
 
 pub use adapt::{AdaptSink, LogRecord, ObservedVerdict, TxObservation};
 pub use catalog::{Catalog, CatalogEntry, ProgId, TxRequest};
 pub use chaos::{ChaosClass, ChaosEvent, ChaosPhase, ChaosPlan, WireFaultKind, PLAN_NAMES};
 pub use engine::{
     BatchOutcome, Engine, FailedPolicy, Granularity, PreparedBatch, PrepareMode, SchedulerConfig,
-    ShardStageTimings, StageTimings, TxOutcome,
+    StageTimings, TxOutcome,
 };
 pub use exec::{AccessScope, ExecView, TxFailure};
 pub use faults::{AbortReason, ConsensusFault, DiskFaultKind, FaultPlan};
@@ -67,7 +66,6 @@ pub use locktable::{
 };
 pub use pipelined::PipelinedExecutor;
 pub use replica::{RecoveryReport, Replica};
-pub use shard::{ShardRoute, ShardRouter};
 pub use prognosticator_symexec::{
     CachedPrediction, ProfileSpecialization, ProgSpecialization, SpecializationSet, TxClass,
 };

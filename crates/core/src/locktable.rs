@@ -131,11 +131,6 @@ pub struct BuilderStats {
 /// without allocating.
 #[derive(Debug, Default)]
 pub struct LockTableBuilder {
-    /// Which key-space shard this builder (and every table it freezes)
-    /// belongs to. Buffer pools are strictly per-shard: recycling a table
-    /// across shards would alias stale interned keyset ids between
-    /// unrelated key spaces and silently corrupt queues.
-    shard: u32,
     /// Key → dense id for the build in progress. Cleared (capacity kept)
     /// at every freeze.
     intern: HashMap<Key, u32>,
@@ -151,33 +146,17 @@ pub struct LockTableBuilder {
     keyset_ids: Vec<u32>,
     /// `(tx, start, len)` per enqueued transaction.
     spans: Vec<(TxIdx, u32, u32)>,
-    /// Parallel to `spans`: whether the transaction was enqueued as a
-    /// cross-shard (foreign) participant.
-    span_foreign: Vec<bool>,
     /// Reclaimed per-transaction buffers.
     spare_tx_spans: Vec<(u32, u32)>,
     spare_remaining: Vec<AtomicU32>,
     spare_released: Vec<AtomicBool>,
-    spare_foreign: Vec<bool>,
     stats: BuilderStats,
 }
 
 impl LockTableBuilder {
-    /// An empty builder for shard 0 (the unsharded configuration).
+    /// An empty builder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty builder pinned to one key-space shard. Tables frozen from
-    /// it carry the shard tag and can only be recycled back into a
-    /// builder of the same shard.
-    pub fn with_shard(shard: u32) -> Self {
-        LockTableBuilder { shard, ..Self::default() }
-    }
-
-    /// The builder's shard tag.
-    pub fn shard(&self) -> u32 {
-        self.shard
     }
 
     /// Enqueues `tx` into the queue of every key in `keys`, in the agreed
@@ -186,19 +165,6 @@ impl LockTableBuilder {
     /// twice on one key, leaving its lock count permanently above zero —
     /// it would never become ready and the batch would hang.
     pub fn enqueue(&mut self, tx: TxIdx, keys: Vec<Key>) {
-        self.enqueue_inner(tx, keys, false);
-    }
-
-    /// Enqueues a **cross-shard** transaction's local key subset. The
-    /// frozen table will surface its readiness on the foreign-ready
-    /// queue ([`LockTable::pop_foreign_ready`]) instead of the worker
-    /// ready queue: cross-shard transactions execute only via the
-    /// queuer's exchange, once *every* owner shard has signalled.
-    pub fn enqueue_foreign(&mut self, tx: TxIdx, keys: Vec<Key>) {
-        self.enqueue_inner(tx, keys, true);
-    }
-
-    fn enqueue_inner(&mut self, tx: TxIdx, keys: Vec<Key>, foreign: bool) {
         let start = self.keyset_ids.len() as u32;
         for key in keys {
             let id = match self.intern.get(&key) {
@@ -225,7 +191,6 @@ impl LockTableBuilder {
             self.queues[id as usize].txs.push(tx);
         }
         self.spans.push((tx, start, self.keyset_ids.len() as u32 - start));
-        self.span_foreign.push(foreign);
     }
 
     /// Freezes the table for concurrent execution and computes the
@@ -251,32 +216,17 @@ impl LockTableBuilder {
         while released.len() < max_tx {
             released.push(AtomicBool::new(false));
         }
-        let mut foreign = std::mem::take(&mut self.spare_foreign);
-        foreign.clear();
-        foreign.resize(max_tx, false);
 
-        for (n, &(tx, start, len)) in self.spans.iter().enumerate() {
+        let ready = SegQueue::new();
+        for &(tx, start, len) in &self.spans {
             remaining[tx as usize].store(len, Ordering::Relaxed);
             tx_spans[tx as usize] = (start, len);
-            foreign[tx as usize] = self.span_foreign[n];
-        }
-        let ready = SegQueue::new();
-        let foreign_ready = SegQueue::new();
-        let publish = |tx: TxIdx| {
-            if foreign[tx as usize] {
-                foreign_ready.push(tx);
-            } else {
-                ready.push(tx);
-            }
-        };
-        for &(tx, _, len) in &self.spans {
             // A transaction with an empty key-set is trivially ready.
             if len == 0 {
-                publish(tx);
+                ready.push(tx);
             }
         }
         self.spans.clear();
-        self.span_foreign.clear();
         self.intern.clear();
         let keys = std::mem::take(&mut self.keys);
         let queues = std::mem::take(&mut self.queues);
@@ -285,51 +235,26 @@ impl LockTableBuilder {
         for q in &queues {
             if let Some(&head) = q.txs.first() {
                 if remaining[head as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    publish(head);
+                    ready.push(head);
                 }
             }
         }
-        LockTable {
-            shard: self.shard,
-            keys,
-            queues,
-            keyset_ids,
-            tx_spans,
-            remaining,
-            released,
-            foreign,
-            ready,
-            foreign_ready,
-        }
+        LockTable { keys, queues, keyset_ids, tx_spans, remaining, released, ready }
     }
 
     /// Reclaims a spent table's buffers for the next build. Call once the
     /// round is fully retired (every enqueued transaction released); the
     /// table's queues, key-id arena and per-transaction counters all go
     /// back into the builder's pools.
-    ///
-    /// # Panics
-    /// Panics if the table was frozen by a builder of a *different*
-    /// shard: buffer pools are strictly per-shard, because a migrated
-    /// buffer's stale interned keyset ids would alias keys of an
-    /// unrelated key space and silently corrupt the next build's queues.
     pub fn recycle(&mut self, table: LockTable) {
-        assert_eq!(
-            table.shard, self.shard,
-            "lock-table buffers must not migrate across shards (table shard {} vs builder shard {})",
-            table.shard, self.shard,
-        );
         let LockTable {
-            shard: _,
             mut keys,
             mut queues,
             mut keyset_ids,
             mut tx_spans,
             remaining,
             released,
-            mut foreign,
             ready: _,
-            foreign_ready: _,
         } = table;
         for q in queues.drain(..) {
             let mut q = q;
@@ -340,7 +265,6 @@ impl LockTableBuilder {
         keys.clear();
         keyset_ids.clear();
         tx_spans.clear();
-        foreign.clear();
         // Only adopt buffers when the builder's own are fresh takes — a
         // recycle right after `new()` must not leak previously adopted
         // capacity.
@@ -349,7 +273,6 @@ impl LockTableBuilder {
         self.spare_tx_spans = tx_spans;
         self.spare_remaining = remaining;
         self.spare_released = released;
-        self.spare_foreign = foreign;
         if self.queues.is_empty() {
             // Keep the outer vector's capacity for the next build.
             self.queues = queues;
@@ -376,9 +299,6 @@ struct FrozenQueue {
 /// id, counters by transaction index — so `release` touches no hash table.
 #[derive(Debug)]
 pub struct LockTable {
-    /// Shard whose builder froze this table; `recycle` refuses buffers
-    /// from any other shard.
-    shard: u32,
     /// Interned id → key (diagnostics; the hot path never consults it).
     keys: Vec<Key>,
     /// Per-key-id FIFO queues.
@@ -395,11 +315,6 @@ pub struct LockTable {
     /// double release would advance queue cursors past unfinished
     /// successors and corrupt their `remaining` counts).
     released: Vec<AtomicBool>,
-    /// Per-transaction cross-shard flag: a foreign (cross-shard)
-    /// transaction that becomes ready surfaces on `foreign_ready` for the
-    /// queuer's barrier exchange instead of the workers' `ready` queue.
-    foreign: Vec<bool>,
-    foreign_ready: SegQueue<TxIdx>,
 }
 
 impl LockTable {
@@ -408,23 +323,10 @@ impl LockTable {
         &self.keyset_ids[start as usize..(start + len) as usize]
     }
 
-    /// Shard whose builder froze this table.
-    pub fn shard(&self) -> u32 {
-        self.shard
-    }
-
     /// Pops a ready transaction, if any. Ready transactions are mutually
     /// non-conflicting and safe to execute concurrently.
     pub fn pop_ready(&self) -> Option<TxIdx> {
         self.ready.pop()
-    }
-
-    /// Pops a ready **cross-shard** transaction. Only the queuer's
-    /// deterministic barrier exchange consumes this queue: a cross-shard
-    /// transaction is executable once it has surfaced on the foreign-ready
-    /// queue of *every* owner shard.
-    pub fn pop_foreign_ready(&self) -> Option<TxIdx> {
-        self.foreign_ready.pop()
     }
 
     /// Pops a ready transaction chosen by `policy` — the schedule-
@@ -482,11 +384,7 @@ impl LockTable {
             q.cursor.store(next, Ordering::Release);
             if let Some(&succ) = q.txs.get(next) {
                 if self.remaining[succ as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    if self.foreign[succ as usize] {
-                        self.foreign_ready.push(succ);
-                    } else {
-                        self.ready.push(succ);
-                    }
+                    self.ready.push(succ);
                 }
             }
         }
@@ -684,71 +582,6 @@ mod tests {
             assert_eq!(drain_ready(t), vec![2]);
             t.release(2);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "must not migrate across shards")]
-    fn recycle_rejects_buffers_from_another_shard() {
-        // Regression guard for the per-shard buffer pools: a table frozen
-        // by shard 0's builder recycled into shard 1's builder would carry
-        // stale interned keyset ids into an unrelated key space and
-        // silently corrupt that shard's next queues.
-        let mut b0 = LockTableBuilder::with_shard(0);
-        b0.enqueue(0, vec![k(1)]);
-        let t = b0.freeze(1);
-        assert_eq!(t.shard(), 0);
-        drain_ready(&t);
-        t.release(0);
-        let mut b1 = LockTableBuilder::with_shard(1);
-        b1.recycle(t);
-    }
-
-    #[test]
-    fn recycle_within_shard_keeps_pools_local() {
-        let mut b = LockTableBuilder::with_shard(3);
-        b.enqueue(0, vec![k(1)]);
-        let t = b.freeze(1);
-        assert_eq!(t.shard(), 3, "frozen table carries its builder's shard");
-        drain_ready(&t);
-        t.release(0);
-        b.recycle(t);
-        assert_eq!(b.stats().recycles, 1);
-        // The recycled pool stays with the shard: the next build reuses
-        // the queue instead of allocating a fresh one.
-        b.enqueue(0, vec![k(2)]);
-        let t2 = b.freeze(1);
-        assert_eq!(b.stats().fresh_queues, 1, "steady state after recycle");
-        assert_eq!(t2.shard(), 3);
-    }
-
-    #[test]
-    fn foreign_txs_surface_on_foreign_ready_only() {
-        let mut b = LockTableBuilder::new();
-        // tx0: local head of k(1); tx1: cross-shard participant behind it;
-        // tx2: cross-shard participant at the head of k(2).
-        b.enqueue(0, vec![k(1)]);
-        b.enqueue_foreign(1, vec![k(1)]);
-        b.enqueue_foreign(2, vec![k(2)]);
-        let t = b.freeze(3);
-        assert_eq!(drain_ready(&t), vec![0], "workers only see local txs");
-        assert_eq!(t.pop_foreign_ready(), Some(2), "foreign head signals the queuer");
-        assert_eq!(t.pop_foreign_ready(), None);
-        // Releasing the local predecessor surfaces the foreign successor
-        // on the foreign-ready queue, never on the worker queue.
-        t.release(0);
-        assert_eq!(drain_ready(&t), vec![]);
-        assert_eq!(t.pop_foreign_ready(), Some(1));
-        t.release(1);
-        t.release(2);
-    }
-
-    #[test]
-    fn foreign_empty_keyset_is_trivially_foreign_ready() {
-        let mut b = LockTableBuilder::new();
-        b.enqueue_foreign(0, vec![]);
-        let t = b.freeze(1);
-        assert_eq!(drain_ready(&t), vec![]);
-        assert_eq!(t.pop_foreign_ready(), Some(0));
     }
 
     #[test]

@@ -64,11 +64,6 @@ pub enum Event {
         key: u64,
         /// Queue position (1 = directly behind the holder).
         depth: u64,
-        /// The key's shard-routing fingerprint. Count-independent (the
-        /// physical shard is `shard % N`), so dumps stay byte-identical
-        /// across shard counts while the canonical sort still groups
-        /// waits by shard.
-        shard: u64,
     },
     /// A transaction became runnable (all of its key queues reached it).
     LockGrant {
@@ -222,37 +217,35 @@ impl Event {
     }
 
     /// Canonical ordering key: batch-major, then event kind in lifecycle
-    /// order, then slot, then key, then shard — except access events
-    /// (`TxRead`/`TxWrite`), which tie-break by their per-transaction
-    /// sequence so one transaction's accesses keep program/flush order.
-    /// Independent of arrival interleaving; the shard coordinate is the
-    /// count-independent routing fingerprint, so the order (and hence the
-    /// rendered dump) is also independent of the shard count.
-    fn sort_key(&self) -> (u64, u8, u64, u64, u64) {
-        let (batch, tx, key, shard) = match *self {
+    /// order, then slot, then key — except access events (`TxRead`/
+    /// `TxWrite`), which tie-break by their per-transaction sequence so
+    /// one transaction's accesses keep program/flush order. Independent of
+    /// arrival interleaving.
+    fn sort_key(&self) -> (u64, u8, u64, u64) {
+        let (batch, tx, key) = match *self {
             Event::BatchStart { batch, .. }
             | Event::BatchEnd { batch, .. }
             | Event::QueuerHandoff { batch, .. }
             | Event::RecoveryReplay { batch, .. }
-            | Event::DigestMismatch { batch, .. } => (batch, 0, 0, 0),
+            | Event::DigestMismatch { batch, .. } => (batch, 0, 0),
             Event::TxOutcome { batch, tx, .. }
             | Event::LockGrant { batch, tx }
             | Event::LockRelease { batch, tx }
-            | Event::FaultInjected { batch, tx, .. } => (batch, tx, 0, 0),
-            Event::LockWait { batch, tx, key, shard, .. } => (batch, tx, key, shard),
+            | Event::FaultInjected { batch, tx, .. } => (batch, tx, 0),
+            Event::LockWait { batch, tx, key, .. } => (batch, tx, key),
             // Tie-break by (batch, tx, seq), NOT by key fingerprint: two
             // runs record the same accesses in the same per-tx order, so
             // seq is interleaving-independent while being cheaper and
             // collision-free where fingerprints are not.
             Event::TxRead { batch, tx, seq, .. } | Event::TxWrite { batch, tx, seq, .. } => {
-                (batch, tx, seq, 0)
+                (batch, tx, seq)
             }
-            Event::WalFsync { index } => (index, 0, 0, 0),
-            Event::OracleFailure { .. } => (u64::MAX, 0, 0, 0),
-            Event::SpecializationProposed { version, .. } => (u64::MAX, version, 0, 0),
-            Event::SpecializationActivated { batch, version, .. } => (batch, version, 0, 0),
+            Event::WalFsync { index } => (index, 0, 0),
+            Event::OracleFailure { .. } => (u64::MAX, 0, 0),
+            Event::SpecializationProposed { version, .. } => (u64::MAX, version, 0),
+            Event::SpecializationActivated { batch, version, .. } => (batch, version, 0),
         };
-        (batch, self.kind_rank(), tx, key, shard)
+        (batch, self.kind_rank(), tx, key)
     }
 
     /// One JSONL line (no trailing newline).
@@ -289,13 +282,11 @@ impl Event {
                 tx,
                 key,
                 depth,
-                shard,
             } => {
                 fields.push(format!("\"batch\":{batch}"));
                 fields.push(format!("\"tx\":{tx}"));
                 fields.push(format!("\"key\":{key}"));
                 fields.push(format!("\"depth\":{depth}"));
-                fields.push(format!("\"shard\":{shard}"));
             }
             Event::LockGrant { batch, tx } | Event::LockRelease { batch, tx } => {
                 fields.push(format!("\"batch\":{batch}"));

@@ -58,9 +58,6 @@ pub struct ChaosOracleConfig {
     pub replicas: usize,
     /// Worker counts for the determinism replay legs.
     pub worker_counts: Vec<usize>,
-    /// Shard counts for the determinism replay legs: every (worker ×
-    /// shard) leg must reproduce the live digest (DESIGN.md §3.5).
-    pub shard_counts: Vec<usize>,
     /// Where `chaos-*.reproducer.json` files are written on violation.
     pub artifact_dir: PathBuf,
 }
@@ -79,7 +76,6 @@ impl ChaosOracleConfig {
             round_size: 6,
             replicas: 2,
             worker_counts: vec![1, 2, 4],
-            shard_counts: vec![1],
             artifact_dir: target.join("testkit"),
         }
     }
@@ -221,18 +217,17 @@ fn heal_everything(session: &ClientSession, base_net: &NetConfig) {
     net.set_config(base_net.clone());
 }
 
-/// Replays `stream` through a fresh replica with `workers` workers over
-/// `shards` key-space shards and returns its final digest. Shared with
+/// Replays `stream` through a fresh replica with `workers` workers and
+/// returns its final digest. Shared with
 /// the wire fuzzer ([`crate::wire`]), whose determinism leg replays the
 /// committed stream a served campaign produced.
 pub(crate) fn replay_digest(
     workload: &TestWorkload,
     stream: &[Vec<TxRequest>],
     workers: usize,
-    shards: usize,
 ) -> u64 {
     let mut replica = Replica::with_store(
-        prognosticator_core::SchedulerConfig { shards, ..baselines::mq_mf(workers) },
+        baselines::mq_mf(workers),
         Arc::clone(workload.catalog()),
         workload.fresh_store(),
     );
@@ -293,10 +288,6 @@ fn violation(
         (
             "worker_counts",
             Json::Arr(config.worker_counts.iter().map(|&w| Json::Int(w as i64)).collect()),
-        ),
-        (
-            "shard_counts",
-            Json::Arr(config.shard_counts.iter().map(|&s| Json::Int(s as i64)).collect()),
         ),
         ("violation", Json::Str(description.clone())),
         ("committed_stream", Json::Arr(batches)),
@@ -434,32 +425,24 @@ pub fn run_chaos(config: &ChaosOracleConfig) -> Result<ChaosReport, Box<ChaosVio
 
     // Oracle 3: determinism. Live digests agree (sync() would have
     // panicked otherwise), and replaying the committed stream at every
-    // (worker × shard) count reproduces them.
+    // worker count reproduces them.
     let stream = session.pipeline().live_committed(0);
     let live = session.pipeline().digests()[0];
     for &workers in &config.worker_counts {
-        for &shards in &config.shard_counts {
-            let replayed = replay_digest(&workload, &stream, workers, shards);
-            if replayed != live {
-                let description = format!(
-                    "replay at {workers} workers / {shards} shards diverged: live digest \
-                     {live:#x}, replayed {replayed:#x}"
-                );
-                // Delta-debug: shrink to a minimal stream on which some
-                // configured leg still disagrees with 1 worker / 1 shard.
-                let worker_counts = config.worker_counts.clone();
-                let shard_counts = config.shard_counts.clone();
-                let wl = &workload;
-                let shrunk = shrink_stream(stream.clone(), &mut |candidate| {
-                    let reference = replay_digest(wl, candidate, 1, 1);
-                    worker_counts.iter().any(|&w| {
-                        shard_counts
-                            .iter()
-                            .any(|&s| replay_digest(wl, candidate, w, s) != reference)
-                    })
-                });
-                return Err(violation(config, description, &shrunk, &workload));
-            }
+        let replayed = replay_digest(&workload, &stream, workers);
+        if replayed != live {
+            let description = format!(
+                "replay at {workers} workers diverged: live digest {live:#x}, replayed {replayed:#x}"
+            );
+            // Delta-debug: shrink to a minimal stream on which some
+            // configured worker count still disagrees with 1 worker.
+            let counts = config.worker_counts.clone();
+            let wl = &workload;
+            let shrunk = shrink_stream(stream.clone(), &mut |candidate| {
+                let reference = replay_digest(wl, candidate, 1);
+                counts.iter().any(|&w| replay_digest(wl, candidate, w) != reference)
+            });
+            return Err(violation(config, description, &shrunk, &workload));
         }
     }
 

@@ -42,10 +42,6 @@ pub struct DifferentialConfig {
     pub batch_size: usize,
     /// Worker counts for the threaded-engine legs.
     pub worker_counts: Vec<usize>,
-    /// Shard counts for the threaded-engine legs: each worker count is
-    /// run at each shard count and every leg must agree byte-for-byte
-    /// (DESIGN.md §3.5 — sharding must not be observable in outcomes).
-    pub shard_counts: Vec<usize>,
     /// Optional fault plan. When set, the `SEQ` legs are skipped (the
     /// serial baseline does not consult fault plans) and only the
     /// engine/simulator legs are diffed.
@@ -64,7 +60,6 @@ impl DifferentialConfig {
             batches: 3,
             batch_size: 20,
             worker_counts: vec![1, 2, 4],
-            shard_counts: vec![1],
             fault_plan: None,
             artifact_dir: PathBuf::from("target/testkit"),
         }
@@ -207,21 +202,18 @@ fn check_stream(
     let plan = &config.fault_plan;
     let mut systems = 0;
 
-    // Engine legs across (worker × shard) counts, plus the simulator:
-    // outcome vectors and digests must be byte-identical (schedule
-    // independence; shard independence per DESIGN.md §3.5).
+    // Engine legs across worker counts, plus the simulator: outcome
+    // vectors and digests must be byte-identical (schedule independence).
     let mut parallel_legs = Vec::new();
     for &workers in &config.worker_counts {
-        for &shards in &config.shard_counts {
-            parallel_legs.push(engine_leg(
-                format!("engine[mq-mf,w={workers},s={shards}]"),
-                prognosticator_core::SchedulerConfig { shards, ..baselines::mq_mf(workers) },
-                workload,
-                stream,
-                plan.clone(),
-            ));
-            systems += 1;
-        }
+        parallel_legs.push(engine_leg(
+            format!("engine[mq-mf,w={workers}]"),
+            baselines::mq_mf(workers),
+            workload,
+            stream,
+            plan.clone(),
+        ));
+        systems += 1;
     }
     parallel_legs.push(sim_leg(
         format!("sim[mq-mf,w={}]", config.worker_counts[0]),
@@ -373,10 +365,6 @@ pub fn reproducer_json(
         (
             "worker_counts",
             Json::Arr(config.worker_counts.iter().map(|&w| Json::Int(w as i64)).collect()),
-        ),
-        (
-            "shard_counts",
-            Json::Arr(config.shard_counts.iter().map(|&s| Json::Int(s as i64)).collect()),
         ),
         (
             "fault_seed",

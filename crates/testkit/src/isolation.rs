@@ -406,10 +406,10 @@ pub enum Mutation {
     /// illegal interleaving.
     DroppedLockRelease,
     /// Let an earlier-batch transaction observe a version installed by
-    /// a later batch — models the cross-shard barrier exchange
-    /// (DESIGN.md §3.5) releasing a shard's foreign writes before the
-    /// batch barrier, so a reader sees the future.
-    CrossShardBarrierReorder,
+    /// a later batch — models writes escaping the batch barrier, so a
+    /// reader sees the future. The only mutation that forges a backward
+    /// (later-batch → earlier-batch) WR edge.
+    FutureRead,
 }
 
 impl Mutation {
@@ -418,7 +418,7 @@ impl Mutation {
         Mutation::SwapCommittedWrites,
         Mutation::StaleEpochRead,
         Mutation::DroppedLockRelease,
-        Mutation::CrossShardBarrierReorder,
+        Mutation::FutureRead,
     ];
 
     /// Short stable label.
@@ -427,7 +427,7 @@ impl Mutation {
             Mutation::SwapCommittedWrites => "swap-committed-writes",
             Mutation::StaleEpochRead => "stale-epoch-read",
             Mutation::DroppedLockRelease => "dropped-lock-release",
-            Mutation::CrossShardBarrierReorder => "cross-shard-barrier-reorder",
+            Mutation::FutureRead => "future-read",
         }
     }
 }
@@ -561,10 +561,10 @@ pub fn inject_violation(events: &[Event], mutation: Mutation, seed: u64) -> Opti
                 version: v1,
             });
         }
-        Mutation::CrossShardBarrierReorder => {
+        Mutation::FutureRead => {
             // A committed earlier-batch reader forged to observe a
-            // version a later batch installed: exactly what a shard's
-            // writes escaping the batch barrier would admit. The WR
+            // version a later batch installed: exactly what writes
+            // escaping the batch barrier would admit. The WR
             // edge points into the earlier batch, so the checker must
             // reject it via the batch-order case with a 2-edge witness.
             let mut candidates: Vec<(TxId, u64, u64)> = Vec::new();
@@ -631,26 +631,13 @@ pub struct Trace {
 /// Replays `stream` on a fresh replica with `workers` workers and an
 /// explicitly enabled high-capacity recorder, returning the full trace.
 pub fn trace_stream(workload: &TestWorkload, stream: &[Vec<TxRequest>], workers: usize) -> Trace {
-    trace_stream_with(workload, stream, workers, 1)
-}
-
-/// [`trace_stream`] with the engine additionally partitioned into
-/// `shards` key-space shards (DESIGN.md §3.5). The trace — events,
-/// outcomes, and digest — must not depend on the shard count; the
-/// isolation suite checks every count independently anyway.
-pub fn trace_stream_with(
-    workload: &TestWorkload,
-    stream: &[Vec<TxRequest>],
-    workers: usize,
-    shards: usize,
-) -> Trace {
     let recorder = FlightRecorder::with_capacity(
         NEXT_RECORDER.fetch_add(1, Ordering::Relaxed),
         TRACE_CAPACITY,
     );
     recorder.set_enabled(true);
     let mut replica = Replica::with_store(
-        prognosticator_core::SchedulerConfig { shards, ..baselines::mq_mf(workers) },
+        baselines::mq_mf(workers),
         Arc::clone(workload.catalog()),
         workload.fresh_store(),
     );
@@ -682,9 +669,6 @@ pub struct IsolationConfig {
     pub batch_size: usize,
     /// Worker counts to trace; each trace is checked independently.
     pub worker_counts: Vec<usize>,
-    /// Shard counts to trace; every (worker × shard) trace is checked
-    /// independently (DESIGN.md §3.5).
-    pub shard_counts: Vec<usize>,
     /// Where `.reproducer.json` cycle witnesses are written.
     pub artifact_dir: PathBuf,
 }
@@ -699,7 +683,6 @@ impl IsolationConfig {
             batches: 3,
             batch_size: 24,
             worker_counts: vec![1, 2, 4],
-            shard_counts: vec![1],
             artifact_dir: PathBuf::from("target/testkit"),
         }
     }
@@ -729,12 +712,7 @@ pub struct IsolationViolation {
 
 /// Renders a cycle witness (plus run context) as the reproducer
 /// document.
-pub fn witness_json(
-    config: &IsolationConfig,
-    workers: usize,
-    shards: usize,
-    witness: &CycleWitness,
-) -> Json {
+pub fn witness_json(config: &IsolationConfig, workers: usize, witness: &CycleWitness) -> Json {
     let tx_json = |id: TxId| {
         Json::obj(vec![
             ("batch", Json::Int(id.batch as i64)),
@@ -761,7 +739,6 @@ pub fn witness_json(
         ("batches", Json::Int(config.batches as i64)),
         ("batch_size", Json::Int(config.batch_size as i64)),
         ("workers", Json::Int(workers as i64)),
-        ("shards", Json::Int(shards as i64)),
         ("violation", Json::Str(witness.description.clone())),
         ("cycle", Json::Arr(cycle)),
     ])
@@ -783,47 +760,40 @@ pub fn run_isolation(config: &IsolationConfig) -> Result<IsolationReport, Box<Is
     let mut runs = 0;
     let (mut transactions, mut edges) = (0, 0);
     for &workers in &config.worker_counts {
-        for &shards in &config.shard_counts {
-            let trace = trace_stream_with(&workload, &stream, workers, shards);
-            assert_eq!(
-                trace.dropped, 0,
-                "isolation trace ring overflowed; raise TRACE_CAPACITY"
-            );
-            match check_trace(&trace.events) {
-                Verdict::Serializable { transactions: t, edges: e } => {
-                    transactions = t;
-                    edges = e;
-                    runs += 1;
-                }
-                Verdict::Violation(witness) => {
-                    let description = format!(
-                        "workload={} stream_seed={} workers={} shards={}: {}",
-                        config.workload.name(),
-                        config.stream_seed,
-                        workers,
-                        shards,
-                        witness.description
-                    );
-                    crate::report_oracle_failure(
-                        "isolation",
-                        &description,
-                        "isolation-oracle-failure",
-                    );
-                    let json = witness_json(config, workers, shards, &witness);
-                    let path = config.artifact_dir.join(format!(
-                        "isolation-{}-{}.reproducer.json",
-                        config.workload.name(),
-                        config.stream_seed
-                    ));
-                    let written = std::fs::create_dir_all(&config.artifact_dir)
-                        .and_then(|()| std::fs::write(&path, json.render()))
-                        .is_ok();
-                    return Err(Box::new(IsolationViolation {
-                        description,
-                        witness: *witness,
-                        reproducer: if written { path } else { PathBuf::new() },
-                    }));
-                }
+        let trace = trace_stream(&workload, &stream, workers);
+        assert_eq!(
+            trace.dropped, 0,
+            "isolation trace ring overflowed; raise TRACE_CAPACITY"
+        );
+        match check_trace(&trace.events) {
+            Verdict::Serializable { transactions: t, edges: e } => {
+                transactions = t;
+                edges = e;
+                runs += 1;
+            }
+            Verdict::Violation(witness) => {
+                let description = format!(
+                    "workload={} stream_seed={} workers={}: {}",
+                    config.workload.name(),
+                    config.stream_seed,
+                    workers,
+                    witness.description
+                );
+                crate::report_oracle_failure("isolation", &description, "isolation-oracle-failure");
+                let json = witness_json(config, workers, &witness);
+                let path = config.artifact_dir.join(format!(
+                    "isolation-{}-{}.reproducer.json",
+                    config.workload.name(),
+                    config.stream_seed
+                ));
+                let written = std::fs::create_dir_all(&config.artifact_dir)
+                    .and_then(|()| std::fs::write(&path, json.render()))
+                    .is_ok();
+                return Err(Box::new(IsolationViolation {
+                    description,
+                    witness: *witness,
+                    reproducer: if written { path } else { PathBuf::new() },
+                }));
             }
         }
     }

@@ -100,9 +100,9 @@ pub fn report_oracle_failure(oracle: &str, detail: &str, reason: &str) {
 pub use chaos::{run_chaos, ChaosOracleConfig, ChaosReport, ChaosViolation};
 pub use differential::{run_differential, DifferentialConfig, DifferentialReport, Mismatch};
 pub use isolation::{
-    check_replica_trace, check_trace, inject_violation, run_isolation, trace_stream,
-    trace_stream_with, CycleWitness, Edge, EdgeKind, IsolationConfig, IsolationReport,
-    IsolationViolation, Mutation, Trace, TxId, Verdict,
+    check_replica_trace, check_trace, inject_violation, run_isolation, trace_stream, CycleWitness,
+    Edge, EdgeKind, IsolationConfig, IsolationReport, IsolationViolation, Mutation, Trace, TxId,
+    Verdict,
 };
 pub use recovery::{
     crash_batch_for, run_crash_recovery, CrashRecoveryReport, RecoveryFuzzConfig, RecoveryMismatch,
@@ -110,7 +110,7 @@ pub use recovery::{
 pub use schedule::{explore_schedules, ScheduleReport, ScheduleSweep};
 pub use wire::{run_wire_fuzz, WireFuzzConfig, WireFuzzReport, WireFuzzViolation};
 pub use soundness::{
-    check_soundness, check_soundness_sharded, check_specialized_soundness, SoundnessError,
+    check_soundness, check_specialized_soundness, SoundnessError,
     SoundnessReport, SpecializedSoundnessReport, TemplateSoundness,
 };
 pub use strategies::{batch_strategy, fault_plan_strategy, tx_request_strategy, workload_strategy};

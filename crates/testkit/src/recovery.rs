@@ -40,9 +40,6 @@ pub struct RecoveryFuzzConfig {
     pub batch_size: usize,
     /// Worker counts to sweep; each must recover identically.
     pub worker_counts: Vec<usize>,
-    /// Shard counts to sweep; each (worker × shard) leg must recover
-    /// identically (DESIGN.md §3.5).
-    pub shard_counts: Vec<usize>,
     /// Per-mille rate of injected worker panics in the live run (replay
     /// must reproduce their aborts without re-injecting them).
     pub worker_panic_per_mille: u16,
@@ -65,7 +62,6 @@ impl RecoveryFuzzConfig {
             batches: 6,
             batch_size: 16,
             worker_counts: vec![1, 2, 4],
-            shard_counts: vec![1],
             worker_panic_per_mille: 120,
             disk_faults: true,
             artifact_dir: target.join("testkit"),
@@ -131,10 +127,9 @@ fn run_reference(
     stream: &[Vec<TxRequest>],
     plan: &FaultPlan,
     workers: usize,
-    shards: usize,
 ) -> (Vec<BatchTrace>, u64) {
     let mut replica = Replica::with_store(
-        prognosticator_core::SchedulerConfig { shards, ..baselines::mq_mf(workers) },
+        baselines::mq_mf(workers),
         std::sync::Arc::clone(workload.catalog()),
         workload.fresh_store(),
     );
@@ -161,15 +156,13 @@ fn run_crashed(
     stream: &[Vec<TxRequest>],
     plan: &FaultPlan,
     workers: usize,
-    shards: usize,
     disk_fault: Option<DiskFaultKind>,
 ) -> Result<(Vec<BatchTrace>, u64, usize, usize, DurabilityStats, u64), String> {
     let dir = config.wal_dir.join(format!(
-        "{}-s{}-w{}-p{}-{}",
+        "{}-s{}-w{}-{}",
         config.workload.name(),
         config.seed,
         workers,
-        shards,
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -178,7 +171,7 @@ fn run_crashed(
     let mut wal: WalStore<Vec<TxRequest>, TxBatchCodec> =
         WalStore::open(&dir, TxBatchCodec).map_err(|e| format!("wal open: {e}"))?;
     let mut replica = Replica::with_store(
-        prognosticator_core::SchedulerConfig { shards, ..baselines::mq_mf(workers) },
+        baselines::mq_mf(workers),
         std::sync::Arc::clone(workload.catalog()),
         workload.fresh_store(),
     );
@@ -230,7 +223,7 @@ fn run_crashed(
         ));
     }
     let (mut recovered, report) = Replica::recover(
-        prognosticator_core::SchedulerConfig { shards, ..baselines::mq_mf(workers) },
+        baselines::mq_mf(workers),
         std::sync::Arc::clone(workload.catalog()),
         workload.fresh_store(),
         durable.into_iter().map(prognosticator_core::LogRecord::Batch).collect(),
@@ -281,10 +274,6 @@ fn reproducer_json(config: &RecoveryFuzzConfig, crash: u64, description: &str) -
             "worker_counts",
             Json::Arr(config.worker_counts.iter().map(|&w| Json::Int(w as i64)).collect()),
         ),
-        (
-            "shard_counts",
-            Json::Arr(config.shard_counts.iter().map(|&s| Json::Int(s as i64)).collect()),
-        ),
         ("worker_panic_per_mille", Json::Int(i64::from(config.worker_panic_per_mille))),
         ("mismatch", Json::Str(description.into())),
     ])
@@ -334,50 +323,43 @@ pub fn run_crash_recovery(
     let mut replay_us = 0;
     let mut reference: Option<(Vec<BatchTrace>, u64)> = None;
     for &workers in &config.worker_counts {
-        for &shards in &config.shard_counts {
-            let (ref_trace, ref_digest) =
-                run_reference(&workload, &stream, &plan, workers, shards);
-            // Worker and shard counts must also agree with each other (the
-            // existing determinism properties), which makes any recovery
-            // divergence attributable to the crash path rather than
-            // scheduling or partitioning.
-            if let Some((first_trace, first_digest)) = &reference {
-                if *first_trace != ref_trace || *first_digest != ref_digest {
+        let (ref_trace, ref_digest) = run_reference(&workload, &stream, &plan, workers);
+        // Worker counts must also agree with each other (the existing
+        // determinism property), which makes any recovery divergence
+        // attributable to the crash path rather than scheduling.
+        if let Some((first_trace, first_digest)) = &reference {
+            if *first_trace != ref_trace || *first_digest != ref_digest {
+                return Err(fail(format!(
+                    "reference runs diverged across worker counts (workers={workers})"
+                )));
+            }
+        } else {
+            reference = Some((ref_trace.clone(), ref_digest));
+        }
+        match run_crashed(config, &workload, &stream, &plan, workers, disk_fault) {
+            Ok((trace, digest, durable, caught_up, leg_stats, leg_replay_us)) => {
+                if trace != ref_trace {
                     return Err(fail(format!(
-                        "reference runs diverged across legs (workers={workers}, \
-                         shards={shards})"
+                        "recovered outcome trace diverged from never-crashed reference \
+                         (workers={workers}, crash_batch={crash}, disk_fault={disk_fault:?})"
                     )));
                 }
-            } else {
-                reference = Some((ref_trace.clone(), ref_digest));
-            }
-            match run_crashed(config, &workload, &stream, &plan, workers, shards, disk_fault) {
-                Ok((trace, digest, durable, caught_up, leg_stats, leg_replay_us)) => {
-                    if trace != ref_trace {
-                        return Err(fail(format!(
-                            "recovered outcome trace diverged from never-crashed reference \
-                             (workers={workers}, shards={shards}, crash_batch={crash}, \
-                             disk_fault={disk_fault:?})"
-                        )));
-                    }
-                    if digest != ref_digest {
-                        return Err(fail(format!(
-                            "recovered digest {digest:#x} != reference {ref_digest:#x} \
-                             (workers={workers}, shards={shards}, crash_batch={crash}, \
-                             disk_fault={disk_fault:?})"
-                        )));
-                    }
-                    durable_batches = durable;
-                    caught_up_batches = caught_up;
-                    stats = leg_stats;
-                    replay_us += leg_replay_us;
-                }
-                Err(description) => {
+                if digest != ref_digest {
                     return Err(fail(format!(
-                        "{description} (workers={workers}, shards={shards}, \
-                         crash_batch={crash}, disk_fault={disk_fault:?})"
-                    )))
+                        "recovered digest {digest:#x} != reference {ref_digest:#x} \
+                         (workers={workers}, crash_batch={crash}, disk_fault={disk_fault:?})"
+                    )));
                 }
+                durable_batches = durable;
+                caught_up_batches = caught_up;
+                stats = leg_stats;
+                replay_us += leg_replay_us;
+            }
+            Err(description) => {
+                return Err(fail(format!(
+                    "{description} (workers={workers}, crash_batch={crash}, \
+                     disk_fault={disk_fault:?})"
+                )))
             }
         }
     }

@@ -34,10 +34,6 @@ pub struct ScheduleSweep {
     pub policy_seeds: Vec<u64>,
     /// Worker counts to sweep.
     pub worker_counts: Vec<usize>,
-    /// Shard counts to sweep: every explored schedule runs at each count
-    /// and must still reproduce the reference outcomes and digest
-    /// (DESIGN.md §3.5 — shuffled pop order composes with sharding).
-    pub shard_counts: Vec<usize>,
     /// Candidate window handed to the shuffle policy (how far from FIFO a
     /// schedule may stray).
     pub window: usize,
@@ -59,7 +55,6 @@ impl ScheduleSweep {
             batch_size: 24,
             policy_seeds: vec![11, 42, 1973],
             worker_counts: vec![1, 2, 4],
-            shard_counts: vec![1],
             window: 3,
             depths: vec![0, 1],
             fault_plan: None,
@@ -131,7 +126,6 @@ pub fn explore_schedules(sweep: &ScheduleSweep) -> ScheduleReport {
     assert!(!sweep.policy_seeds.is_empty(), "need at least one policy seed");
     assert!(!sweep.worker_counts.is_empty(), "need at least one worker count");
     assert!(!sweep.depths.is_empty(), "need at least one prepare-ahead depth");
-    assert!(!sweep.shard_counts.is_empty(), "need at least one shard count");
     let workload = TestWorkload::new(sweep.workload);
     let stream = workload.gen_stream(sweep.stream_seed, sweep.batches, sweep.batch_size);
 
@@ -148,56 +142,48 @@ pub fn explore_schedules(sweep: &ScheduleSweep) -> ScheduleReport {
     let mut explored = 1;
     for &depth in &sweep.depths {
         for &workers in &sweep.worker_counts {
-            for &shards in &sweep.shard_counts {
-                for &seed in &sweep.policy_seeds {
-                    let config = SchedulerConfig {
-                        ready_policy: Arc::new(SeededShufflePolicy::new(seed, sweep.window)),
-                        shards,
-                        ..baselines::mq_mf(workers)
-                    };
-                    let run =
-                        run_schedule(&workload, &stream, config, sweep.fault_plan.clone(), depth);
-                    explored += 1;
-                    for (i, (got, want)) in
-                        run.outcomes.iter().zip(&reference.outcomes).enumerate()
-                    {
-                        if got != want {
-                            let msg = format!(
-                                "outcome vector diverged: workload={} batch={} policy_seed={} \
-                                 workers={} shards={} depth={}",
-                                sweep.workload.name(),
-                                i,
-                                seed,
-                                workers,
-                                shards,
-                                depth
-                            );
-                            crate::report_oracle_failure(
-                                "schedule",
-                                &msg,
-                                "schedule-oracle-failure",
-                            );
-                            panic!(
-                                "assertion `left == right` failed: {msg}\n  left: {got:?}\n right: {want:?}"
-                            );
-                        }
-                    }
-                    if run.digest != reference.digest {
+            for &seed in &sweep.policy_seeds {
+                let config = SchedulerConfig {
+                    ready_policy: Arc::new(SeededShufflePolicy::new(seed, sweep.window)),
+                    ..baselines::mq_mf(workers)
+                };
+                let run =
+                    run_schedule(&workload, &stream, config, sweep.fault_plan.clone(), depth);
+                explored += 1;
+                for (i, (got, want)) in run.outcomes.iter().zip(&reference.outcomes).enumerate() {
+                    if got != want {
                         let msg = format!(
-                            "store digest diverged: workload={} policy_seed={} workers={} \
-                             shards={} depth={}",
+                            "outcome vector diverged: workload={} batch={} policy_seed={} \
+                             workers={} depth={}",
                             sweep.workload.name(),
+                            i,
                             seed,
                             workers,
-                            shards,
                             depth
                         );
-                        crate::report_oracle_failure("schedule", &msg, "schedule-oracle-failure");
+                        crate::report_oracle_failure(
+                            "schedule",
+                            &msg,
+                            "schedule-oracle-failure",
+                        );
                         panic!(
-                            "assertion `left == right` failed: {msg}\n  left: {:?}\n right: {:?}",
-                            run.digest, reference.digest
+                            "assertion `left == right` failed: {msg}\n  left: {got:?}\n right: {want:?}"
                         );
                     }
+                }
+                if run.digest != reference.digest {
+                    let msg = format!(
+                        "store digest diverged: workload={} policy_seed={} workers={} depth={}",
+                        sweep.workload.name(),
+                        seed,
+                        workers,
+                        depth
+                    );
+                    crate::report_oracle_failure("schedule", &msg, "schedule-oracle-failure");
+                    panic!(
+                        "assertion `left == right` failed: {msg}\n  left: {:?}\n right: {:?}",
+                        run.digest, reference.digest
+                    );
                 }
             }
         }

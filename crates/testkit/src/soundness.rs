@@ -20,7 +20,6 @@
 //! the RWS from a trial run, so it is exact by construction.
 
 use crate::workload::{TestWorkload, WorkloadKind};
-use prognosticator_core::ShardRouter;
 use prognosticator_storage::EpochStore;
 use prognosticator_symexec::{
     predict_specialized, PivotResolver, SpecializationSet, TxClass,
@@ -113,12 +112,6 @@ pub struct SoundnessReport {
     pub predicted_keys: u64,
     /// Total concretely touched keys over all checked transactions.
     pub touched_keys: u64,
-    /// Shard count the predictions were routed over (DESIGN.md §3.5).
-    pub shards: usize,
-    /// Checked transactions whose predicted RWS routed to one shard.
-    pub single_shard: usize,
-    /// Checked transactions whose predicted RWS spanned shards.
-    pub cross_shard: usize,
     /// Per-template statistics, ordered by program name.
     pub templates: Vec<TemplateSoundness>,
 }
@@ -128,17 +121,6 @@ impl SoundnessReport {
     /// exactly 1.0 means the profiles are key-precise on this stream).
     pub fn ratio(&self) -> f64 {
         self.predicted_keys as f64 / self.touched_keys as f64
-    }
-
-    /// Fraction of checked transactions whose predicted RWS spanned more
-    /// than one shard at this report's shard count (0.0 when routed over
-    /// a single shard).
-    pub fn cross_shard_ratio(&self) -> f64 {
-        if self.checked == 0 {
-            0.0
-        } else {
-            self.cross_shard as f64 / self.checked as f64
-        }
     }
 
     /// The `n` loosest templates, worst first (ties broken by name so the
@@ -271,33 +253,6 @@ pub fn check_soundness(
     batches: usize,
     batch_size: usize,
 ) -> Result<SoundnessReport, SoundnessError> {
-    check_soundness_sharded(kind, seed, batches, batch_size, 1)
-}
-
-/// [`check_soundness`] with the prediction additionally routed over
-/// `shards` key-space shards, the way the engine's prepare phase does
-/// (DESIGN.md §3.5). Beyond the superset check, every concretely touched
-/// key must land on a shard the predicted RWS was routed to — an access
-/// outside the routed owner set would execute without that shard's locks.
-/// The report carries the single/cross split so workloads' cross-shard
-/// ratios are observable per shard count.
-///
-/// # Errors
-/// Returns the first [`SoundnessError`] — a prediction that missed a
-/// concretely-touched key. Any error here is a profiler correctness bug.
-///
-/// # Panics
-/// Panics if prediction fails, the stream has no profiled transactions,
-/// or the router's `route`/`partition` views of the same predicted
-/// key-set disagree — the latter is a router bug, not profiler unsoundness.
-pub fn check_soundness_sharded(
-    kind: WorkloadKind,
-    seed: u64,
-    batches: usize,
-    batch_size: usize,
-    shards: usize,
-) -> Result<SoundnessReport, SoundnessError> {
-    let router = ShardRouter::new(shards);
     let workload = TestWorkload::new(kind);
     let store = workload.fresh_store();
     let stream = workload.gen_stream(seed, batches, batch_size);
@@ -310,9 +265,6 @@ pub fn check_soundness_sharded(
         read_only: 0,
         predicted_keys: 0,
         touched_keys: 0,
-        shards: router.shards(),
-        single_shard: 0,
-        cross_shard: 0,
         templates: Vec::new(),
     };
     let mut per_template: BTreeMap<String, TemplateSoundness> = BTreeMap::new();
@@ -374,43 +326,6 @@ pub fn check_soundness_sharded(
                         if valid {
                             t.pivot_hits += 1;
                         }
-                    }
-
-                    // Routing soundness: the engine routes this tx at
-                    // prepare time from exactly this prediction, so every
-                    // concretely touched key must fall on a routed owner
-                    // shard, and route()/partition() must agree on what
-                    // those owners are.
-                    let predicted_keys: Vec<Key> = predicted.iter().cloned().collect();
-                    let route = router.route(&predicted_keys);
-                    let owners = route.owners();
-                    let parts = router.partition(predicted_keys.clone());
-                    let part_shards: Vec<usize> = parts.iter().map(|(s, _)| *s).collect();
-                    assert_eq!(
-                        part_shards, owners,
-                        "route/partition disagree for `{}` (tx #{tx_index})",
-                        program.name()
-                    );
-                    assert_eq!(
-                        parts.iter().map(|(_, ks)| ks.len()).sum::<usize>(),
-                        predicted_keys.len(),
-                        "partition dropped or duplicated keys for `{}` (tx #{tx_index})",
-                        program.name()
-                    );
-                    for key in &touched {
-                        let s = router.shard_of(key);
-                        assert!(
-                            owners.contains(&s),
-                            "tx #{tx_index} (`{}`) touched {key:?} on shard {s}, outside \
-                             its routed owner set {owners:?} ({} shards)",
-                            program.name(),
-                            router.shards()
-                        );
-                    }
-                    if route.is_cross() {
-                        report.cross_shard += 1;
-                    } else {
-                        report.single_shard += 1;
                     }
                 }
                 None => report.recon += 1,

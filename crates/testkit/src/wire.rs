@@ -442,7 +442,7 @@ pub fn run_wire_fuzz(config: &WireFuzzConfig) -> Result<WireFuzzReport, Box<Wire
     }
     let live = pipeline.digests()[0];
     for &workers in &config.worker_counts {
-        let replayed = crate::chaos::replay_digest(&workload, &stream, workers, 1);
+        let replayed = crate::chaos::replay_digest(&workload, &stream, workers);
         if replayed != live {
             return Err(violation(
                 config,

@@ -14,16 +14,14 @@
 //! 3. measurably reduce false lock conflicts versus a static replay of
 //!    the same committed batches,
 //! 4. change *nothing* about execution results: digests stay
-//!    byte-identical with adaptation on vs off, across worker counts,
-//!    shard counts, and seeds, and
+//!    byte-identical with adaptation on vs off, across worker counts and
+//!    seeds, and
 //! 5. survive a crash: recovery replays the committed log *including*
 //!    the swap entry and lands on the pre-crash digest.
 
 use prognosticator::{Pipeline, PipelineConfig};
 use prognosticator_adapt::{AdaptConfig, Specializer, StatsCollector};
-use prognosticator_core::{
-    baselines, AdaptSink, LogRecord, Replica, SchedulerConfig, SpecializationSet, TxRequest,
-};
+use prognosticator_core::{baselines, AdaptSink, LogRecord, Replica, SpecializationSet, TxRequest};
 use prognosticator_storage::EpochStore;
 use prognosticator_symexec::ProfileSpecialization;
 use std::sync::Arc;
@@ -69,15 +67,10 @@ fn pump(pipeline: &mut Pipeline, stream: &[Vec<TxRequest>]) {
 /// Replays a committed record stream through a fresh replica with a
 /// stats collector attached, returning the final digest and the false
 /// lock conflicts the replay attributed.
-fn replay(
-    workload: &TestWorkload,
-    records: Vec<LogRecord>,
-    workers: usize,
-    shards: usize,
-) -> (u64, u64) {
+fn replay(workload: &TestWorkload, records: Vec<LogRecord>, workers: usize) -> (u64, u64) {
     let collector = Arc::new(StatsCollector::new(AdaptConfig::default()));
     let mut replica = Replica::with_store(
-        SchedulerConfig { shards, ..baselines::mq_mf(workers) },
+        baselines::mq_mf(workers),
         Arc::clone(workload.catalog()),
         workload.fresh_store(),
     );
@@ -150,8 +143,8 @@ fn adaptation_loop_closes_end_to_end() {
     // *same* committed batches. (4) while the digests stay identical —
     // specialization changes locking, never results.
     let fleet_digest = pipeline.digests()[0];
-    let (spec_digest, spec_fc) = replay(&workload, records.clone(), 2, 2);
-    let (static_digest, static_fc) = replay(&workload, batches_only(&records), 2, 2);
+    let (spec_digest, spec_fc) = replay(&workload, records.clone(), 2);
+    let (static_digest, static_fc) = replay(&workload, batches_only(&records), 2);
     assert_eq!(spec_digest, fleet_digest, "specialized replay diverged from the fleet");
     assert_eq!(static_digest, fleet_digest, "static replay diverged from the fleet");
     assert!(static_fc > 0, "the widened scan never produced a false conflict statically");
@@ -220,37 +213,32 @@ fn records_with_midstream_swap(
 
 #[test]
 fn specialization_determinism_matrix() {
-    // Satellite determinism matrix: {1,2,4} workers × {1,2,4,8} shards ×
-    // 3 seeds, digests byte-identical with adaptation on vs off across a
+    // Satellite determinism matrix: {1,2,4} workers × 3 seeds, digests byte-identical with adaptation on vs off across a
     // mid-stream swap, plus crash-recovery replay across the swap entry.
     let workload = TestWorkload::new(WorkloadKind::Adaptive);
     for seed in [0xD1u64, 0xD2, 0xD3] {
         let (records, _set) = records_with_midstream_swap(&workload, seed);
         let static_records = batches_only(&records);
 
-        let (reference, _) = replay(&workload, records.clone(), 1, 1);
+        let (reference, _) = replay(&workload, records.clone(), 1);
         for workers in [1usize, 2, 4] {
-            for shards in [1usize, 2, 4, 8] {
-                let (on, _) = replay(&workload, records.clone(), workers, shards);
-                let (off, _) = replay(&workload, static_records.clone(), workers, shards);
-                assert_eq!(
-                    on, reference,
-                    "adaptation-on digest diverged: seed={seed:#x} workers={workers} \
-                     shards={shards}"
-                );
-                assert_eq!(
-                    off, reference,
-                    "adaptation-off digest diverged: seed={seed:#x} workers={workers} \
-                     shards={shards}"
-                );
-            }
+            let (on, _) = replay(&workload, records.clone(), workers);
+            let (off, _) = replay(&workload, static_records.clone(), workers);
+            assert_eq!(
+                on, reference,
+                "adaptation-on digest diverged: seed={seed:#x} workers={workers}"
+            );
+            assert_eq!(
+                off, reference,
+                "adaptation-off digest diverged: seed={seed:#x} workers={workers}"
+            );
         }
 
         // Crash-recovery replay across the swap entry: Replica::recover
         // installs the set at its log position and panics internally if
         // the digest misses the expectation.
         let (mut recovered, report) = Replica::recover(
-            SchedulerConfig { shards: 2, ..baselines::mq_mf(2) },
+            baselines::mq_mf(2),
             Arc::clone(workload.catalog()),
             workload.fresh_store(),
             records.clone(),

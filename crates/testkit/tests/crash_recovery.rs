@@ -116,21 +116,3 @@ fn quiet_plan_without_disk_faults_recovers() {
     assert_eq!(report.disk_fault, None);
     assert!(report.stats.wal_fsyncs > 0, "durable appends must fsync");
 }
-
-#[test]
-fn sharded_replicas_recover_identically() {
-    // Crash-recovery at every shard count (DESIGN.md §3.5): the recovered
-    // run must be byte-identical to the never-crashed reference no matter
-    // how the key space is partitioned, including under worker panics and
-    // armed disk faults.
-    for seed in [0x5_4A8D, 0x5_4A8E, 0x5_4A8F] {
-        let mut config = RecoveryFuzzConfig::standard(WorkloadKind::SmallBank, seed);
-        config.worker_counts = vec![2];
-        config.shard_counts = vec![1, 2, 4, 8];
-        config.artifact_dir = scratch("recovery-artifacts");
-        config.wal_dir = scratch("recovery-wal");
-        run_crash_recovery(&config).unwrap_or_else(|m| {
-            panic!("{} (reproducer: {})", m.description, m.reproducer.display())
-        });
-    }
-}

@@ -39,6 +39,27 @@ fn rubis_systems_agree() {
 }
 
 #[test]
+fn adversarial_pack_systems_agree() {
+    // Hot-key storms and chain pivots maximize per-key queue depth — the
+    // worst case for the lock table's release chains.
+    for (i, workload) in WorkloadKind::ADVERSARIAL.into_iter().enumerate() {
+        let seed = 0xAD_10 + i as u64;
+        let mut config = DifferentialConfig::standard(workload, seed);
+        config.artifact_dir = artifact_dir();
+        let report = run_differential(&config).unwrap_or_else(|m| {
+            panic!(
+                "{} seed {seed:#x}: {} (reproducer: {})",
+                workload.name(),
+                m.description,
+                m.reproducer.display()
+            )
+        });
+        assert!(report.systems >= 7, "compared {} systems", report.systems);
+        assert!(report.committed > 0, "{} seed {seed:#x} committed nothing", workload.name());
+    }
+}
+
+#[test]
 fn faulted_runs_agree_across_engine_and_simulator() {
     let mut config = DifferentialConfig::standard(WorkloadKind::SmallBank, 4);
     config.artifact_dir = artifact_dir();

@@ -8,9 +8,9 @@
 //!    indirect-key pivot chains) plus the three standard benchmarks
 //!    produces a serializable trace at every worker count and seed.
 //! 2. **Rejection** — the mutation harness forges known violations
-//!    (swapped commits, stale epoch reads, dropped lock releases) into
-//!    healthy traces and the checker rejects every one with a minimal
-//!    (≤ 5 edge) cycle witness.
+//!    (swapped commits, stale epoch reads, dropped lock releases, future
+//!    reads) into healthy traces and the checker rejects every one with a
+//!    minimal (≤ 5 edge) cycle witness.
 //! 3. **Determinism** — the canonical trace, `TxRead`/`TxWrite`
 //!    provenance included, is byte-identical across {1, 2, 4} workers.
 //! 4. **Read-only observation** — recording provenance never changes
@@ -23,9 +23,9 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use testkit::{
     check_trace, explore_schedules, inject_violation, run_chaos, run_crash_recovery,
-    run_differential, run_isolation, trace_stream, trace_stream_with, ChaosOracleConfig,
-    DifferentialConfig, EdgeKind, IsolationConfig, Mutation, RecoveryFuzzConfig, ScheduleSweep,
-    TestWorkload, Trace, Verdict, WorkloadKind,
+    run_differential, run_isolation, trace_stream, ChaosOracleConfig, DifferentialConfig, EdgeKind,
+    IsolationConfig, Mutation, RecoveryFuzzConfig, ScheduleSweep, TestWorkload, Trace, Verdict,
+    WorkloadKind,
 };
 
 fn seeds() -> Vec<u64> {
@@ -68,23 +68,6 @@ fn adversarial_scenarios_certify_serializable_across_workers() {
                 "{kind:?}: a contended scenario must produce dependencies"
             );
         }
-    }
-}
-
-/// Satellite: the isolation oracle runs at shard counts {1, 2, 4, 8} on
-/// the adversarial pack — every sharded trace must certify serializable
-/// (DESIGN.md §3.5).
-#[test]
-fn adversarial_scenarios_certify_serializable_across_shard_counts() {
-    for kind in WorkloadKind::ADVERSARIAL {
-        let mut config = IsolationConfig::standard(kind, 0x5A_15);
-        config.worker_counts = vec![2];
-        config.shard_counts = vec![1, 2, 4, 8];
-        config.artifact_dir = artifact_dir();
-        let report = run_isolation(&config)
-            .unwrap_or_else(|v| panic!("{kind:?}: {}", v.description));
-        assert_eq!(report.runs, 4, "{kind:?}: one checked trace per shard count");
-        assert!(report.transactions > 0, "{kind:?}: graph must not be empty");
     }
 }
 
@@ -184,31 +167,28 @@ fn mutation_harness_rejects_every_forged_violation() {
     }
 }
 
-/// Satellite: a cross-shard barrier reorder — a shard's foreign writes
-/// escaping the batch barrier so an earlier batch reads a later batch's
-/// version — forged into a real *sharded* engine trace must be rejected
-/// with a minimal batch-order witness.
+/// Satellite: a future read — writes escaping the batch barrier so an
+/// earlier batch reads a later batch's version — forged into a real
+/// engine trace must be rejected with a minimal batch-order witness.
 #[test]
-fn cross_shard_barrier_reorder_is_rejected_with_minimal_witness() {
+fn future_read_is_rejected_with_minimal_witness() {
     let workload = TestWorkload::new(WorkloadKind::ChainPivot);
     let stream = workload.gen_stream(0x5A_BA, 3, 24);
-    let trace = trace_stream_with(&workload, &stream, 2, 4);
+    let trace = trace_stream(&workload, &stream, 2);
     assert_eq!(trace.dropped, 0, "trace must be complete");
     assert!(
         check_trace(&trace.events).is_serializable(),
-        "the healthy sharded trace must certify before mutation"
+        "the healthy trace must certify before mutation"
     );
 
     let mut injected = 0;
     for seed in 0..5u64 {
-        let Some(mutated) =
-            inject_violation(&trace.events, Mutation::CrossShardBarrierReorder, seed)
-        else {
+        let Some(mutated) = inject_violation(&trace.events, Mutation::FutureRead, seed) else {
             continue;
         };
         injected += 1;
         let Verdict::Violation(witness) = check_trace(&mutated) else {
-            panic!("cross-shard barrier reorder (seed {seed}) went undetected");
+            panic!("future read (seed {seed}) went undetected");
         };
         assert_eq!(
             witness.edges.len(),
@@ -262,48 +242,6 @@ fn canonical_dumps_identical_across_worker_counts() {
             render(&trace),
             reference_dump,
             "w={workers}: canonical dump bodies must be byte-identical"
-        );
-    }
-}
-
-/// Satellite: canonical dumps are byte-identical across shard counts
-/// {1, 2, 4, 8}. The `LockWait` events' `shard` field is the
-/// count-independent routing fingerprint, and the canonical sort
-/// incorporates it — so partitioning the engine must not change a single
-/// dumped byte (DESIGN.md §3.5).
-#[test]
-fn canonical_dumps_identical_across_shard_counts() {
-    let workload = TestWorkload::new(WorkloadKind::YcsbMix);
-    let stream = workload.gen_stream(0x5A_D0, 3, 24);
-    let render = |trace: &Trace| -> String {
-        trace
-            .events
-            .iter()
-            .map(|e| e.to_json_line(0))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-
-    let reference = trace_stream_with(&workload, &stream, 2, 1);
-    assert_eq!(reference.dropped, 0);
-    let reference_dump = render(&reference);
-    assert!(
-        reference_dump.contains("\"type\":\"lock_wait\""),
-        "a contended trace must carry lock waits"
-    );
-    assert!(
-        reference_dump.contains("\"shard\":"),
-        "lock waits must carry the routing fingerprint"
-    );
-
-    for shards in [2, 4, 8] {
-        let trace = trace_stream_with(&workload, &stream, 2, shards);
-        assert_eq!(trace.digest, reference.digest, "s={shards}: digests must agree");
-        assert_eq!(trace.outcomes, reference.outcomes, "s={shards}: outcomes must agree");
-        assert_eq!(
-            render(&trace),
-            reference_dump,
-            "s={shards}: canonical dump bodies must be byte-identical"
         );
     }
 }

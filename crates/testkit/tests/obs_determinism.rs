@@ -133,51 +133,6 @@ fn flight_recorder_dumps_are_replay_stable() {
     assert_eq!(dump_a, dump_b, "canonical dumps must be byte-identical across runs");
 }
 
-/// Sharding must be invisible in the forensic trail too: the same stream
-/// executed at shard counts {1, 2, 4, 8} (recorders pinned to one replica
-/// id) renders byte-identical canonical dumps. `LockWait` events carry
-/// the count-independent routing fingerprint in their `shard` field — not
-/// the physical shard index — and the canonical sort includes it, so the
-/// partitioning never leaks into the dump (DESIGN.md §3.5).
-#[test]
-fn flight_recorder_dumps_are_identical_across_shard_counts() {
-    let _guard = lock();
-    let _restore = DisableOnDrop;
-    prognosticator_obs::set_default_enabled(false);
-    let workload = TestWorkload::new(WorkloadKind::HotSkew);
-    let stream = workload.gen_stream(0x5AF1, 3, 24);
-
-    let run = |shards: usize| -> (String, u64) {
-        let recorder = FlightRecorder::new(9);
-        recorder.set_enabled(true);
-        let mut replica = Replica::with_store(
-            prognosticator_core::SchedulerConfig { shards, ..baselines::mq_mf(4) },
-            Arc::clone(workload.catalog()),
-            workload.fresh_store(),
-        );
-        replica.attach_recorder(Arc::clone(&recorder));
-        replica.execute_stream(stream.clone(), 1);
-        let digest = replica.state_digest();
-        replica.shutdown();
-        (recorder.render_jsonl(), digest)
-    };
-
-    let (reference, reference_digest) = run(1);
-    assert!(
-        reference.contains("\"type\":\"lock_wait\""),
-        "a hot-key storm must record lock waits"
-    );
-    assert!(
-        reference.contains("\"shard\":"),
-        "lock waits must carry the routing fingerprint"
-    );
-    for shards in [2, 4, 8] {
-        let (dump, digest) = run(shards);
-        assert_eq!(digest, reference_digest, "s={shards}: digests must agree");
-        assert_eq!(dump, reference, "s={shards}: canonical dumps must be byte-identical");
-    }
-}
-
 #[test]
 fn forced_digest_mismatch_dumps_flight_recorder() {
     let _guard = lock();

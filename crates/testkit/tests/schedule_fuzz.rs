@@ -40,20 +40,6 @@ fn schedules_stay_equivalent_under_injected_faults() {
 }
 
 #[test]
-fn shard_counts_compose_with_shuffled_schedules() {
-    // Sharding is orthogonal to pop order: every seeded ready-queue
-    // permutation at every shard count must reproduce the 1-shard FIFO
-    // reference (DESIGN.md §3.5).
-    let mut sweep = ScheduleSweep::standard(WorkloadKind::SmallBank, 0x5A2D);
-    sweep.worker_counts = vec![2];
-    sweep.shard_counts = vec![1, 2, 4, 8];
-    let report = explore_schedules(&sweep);
-    // reference + 2 depths × 1 worker count × 4 shard counts × 3 seeds
-    assert!(report.explored >= 25, "explored {} schedules", report.explored);
-    assert!(report.committed > 0);
-}
-
-#[test]
 fn wider_windows_still_converge() {
     // A wider candidate window lets schedules stray further from FIFO.
     let mut sweep = ScheduleSweep::standard(WorkloadKind::SmallBank, 0x51DE);

@@ -39,11 +39,7 @@ pub struct PipelineConfig {
     pub batch_window: Duration,
     /// Client batch size cap.
     pub batch_cap: usize,
-    /// Scheduler configuration for every replica. This carries the
-    /// key-space shard count (`SchedulerConfig::shards`) through to every
-    /// replica's engine; sharding is a throughput knob only and never
-    /// changes outcomes or digests (DESIGN.md §3.5), so fleets mixing
-    /// shard counts still converge.
+    /// Scheduler configuration for every replica.
     pub scheduler: SchedulerConfig,
     /// Seed for the simulated network.
     pub seed: u64,

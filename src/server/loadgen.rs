@@ -72,8 +72,10 @@ pub struct OpenLoopReport {
     /// Requests sent but never answered within the budget (must be 0 on
     /// a healthy run — the exactly-once contract's wire shadow).
     pub lost: usize,
-    /// Coordinated-omission-safe service latency, measured from each
-    /// request's *intended* send time: median.
+    /// Coordinated-omission-safe service latency of committed requests,
+    /// measured from each request's *intended* send time: median.
+    /// Rejections and aborts are counted above but not timed, so an
+    /// instant-reject storm cannot pull the quantiles down.
     pub p50_ms: f64,
     /// 99th percentile of the same distribution.
     pub p99_ms: f64,
@@ -158,11 +160,13 @@ pub fn run_open_loop(
         let Ok((client, resp, done_at)) = resp_rx.recv_timeout(left) else { break };
         let Some(due) = intended.remove(&(client, resp.req_id)) else { continue };
         received += 1;
-        let latency = done_at.saturating_duration_since(due);
-        hist.record(latency.as_micros() as u64);
-        latencies.push(latency);
         match resp.outcome {
-            WireOutcome::Committed => committed += 1,
+            WireOutcome::Committed => {
+                committed += 1;
+                let latency = done_at.saturating_duration_since(due);
+                hist.record(latency.as_micros() as u64);
+                latencies.push(latency);
+            }
             WireOutcome::Aborted { .. } => aborted += 1,
             WireOutcome::Rejected { .. } => rejected += 1,
         }

@@ -927,6 +927,32 @@ mod tests {
     }
 
     #[test]
+    fn open_loop_latency_times_committed_replies_only() {
+        // A depth-0 server rejects every request instantly at the wire;
+        // those replies are counted but must not enter the latency
+        // quantiles, or a rejection storm would read as a fast server.
+        let (server, bump) =
+            boot(ServerConfig { pipeline_depth: 0, ..ServerConfig::default() });
+        let cfg = loadgen::OpenLoopConfig {
+            target_rps: 2_000,
+            requests: 20,
+            clients: 2,
+            ..loadgen::OpenLoopConfig::default()
+        };
+        let report = loadgen::run_open_loop(
+            server.addr(),
+            |k| TxRequest::new(bump, vec![Value::Int(k as i64 % 16)]),
+            &cfg,
+        )
+        .expect("open loop runs");
+        assert_eq!(report.sent, cfg.requests, "every request sent: {report:?}");
+        assert_eq!(report.rejected, report.sent, "every request rejected: {report:?}");
+        assert_eq!(report.committed, 0);
+        assert_eq!(report.max_ms, 0.0, "rejections must not be timed: {report:?}");
+        server.shutdown();
+    }
+
+    #[test]
     fn depth_capped_burst_answers_every_request_exactly_once() {
         let (server, bump) =
             boot(ServerConfig { pipeline_depth: 1, ..ServerConfig::default() });

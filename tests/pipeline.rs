@@ -129,34 +129,3 @@ fn replica_stream_survives_many_batches() {
     a.shutdown();
     b.shutdown();
 }
-
-#[test]
-fn replicas_with_mixed_shard_counts_converge() {
-    // Sharding is invisible end to end (DESIGN.md §3.5): a fleet whose
-    // replicas run the same batches at 1, 2, 4 and 8 key-space shards —
-    // with differing worker counts thrown in — must converge to one
-    // digest. This is the root-level proof that `PipelineConfig`'s
-    // scheduler carries the shard knob through without observable effect.
-    let (catalog, workload) = small_tpcc();
-    let mut rng = DeterministicRng::new(0x5A_2D);
-    let batches: Vec<Vec<TxRequest>> =
-        (0..5).map(|_| (0..24).map(|_| workload.gen_tx(&mut rng)).collect()).collect();
-
-    let fleet = [(1usize, 2usize), (2, 2), (4, 4), (8, 1)];
-    let mut digests = Vec::new();
-    for &(shards, workers) in &fleet {
-        let config = SchedulerConfig { shards, ..baselines::mq_mf(workers) };
-        let mut replica = replica_with(config, &catalog, &workload);
-        let mut committed = 0;
-        for batch in &batches {
-            committed += replica.execute_batch(batch.clone()).committed;
-        }
-        assert!(committed > 0, "s={shards} w={workers}: nothing committed");
-        digests.push((shards, workers, replica.state_digest()));
-        replica.shutdown();
-    }
-    assert!(
-        digests.windows(2).all(|w| w[0].2 == w[1].2),
-        "mixed-shard fleet diverged: {digests:x?}"
-    );
-}
